@@ -1,8 +1,8 @@
 """Solvers and executable audits for zero-sum information-leakage games.
 
 Games couple defender/attacker action sets with a family of channels;
-utility is either posterior g-vulnerability (QIF games, solved by
-projected subgradient descent) or the differential-privacy level (DP
+utility is either posterior g-vulnerability (QIF games, solved exactly by
+one epigraph linear program) or the differential-privacy level (DP
 games, solved by Dinkelbach fractional programming for hidden choice and
 argmin-max for visible choice).
 """

@@ -26,8 +26,7 @@ import sys
 
 from .core import LeakGameError, SolveReport, ValidationError
 from .measures import dp_level, is_conforming, posterior_vulnerability
-from .qif import solve_qif
-from .dp import solve_dp_hidden, solve_dp_visible
+from . import dp, qif
 from .audits import audit_game
 from . import scenarios
 from . import jsonio
@@ -37,6 +36,10 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NOT_CERTIFIED = 2
 EXIT_IO = 3
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
 
 
 def _read_json(path: str):
@@ -49,8 +52,8 @@ def _read_json(path: str):
     except OSError as exc:
         raise ParseError(f"cannot read {path!r}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError, or a NaN/Infinity literal
         raise ParseError(f"invalid JSON in {path!r}: {exc}") from exc
 
 
@@ -84,14 +87,14 @@ def _report_rows(report: SolveReport) -> list[tuple[str, object]]:
 def _cmd_solve(args) -> int:
     game = jsonio.game_from_dict(_read_json(args.game))
     if args.kind == "qif":
-        report = solve_qif(game, tolerance=args.tolerance, max_iter=args.max_iter)
+        report = qif.solve_qif(game, tolerance=args.tolerance, max_iter=args.max_iter)
     else:
         if args.mode == "hidden":
-            report = solve_dp_hidden(
+            report = dp.solve_dp_hidden(
                 game, tolerance=args.tolerance, max_iter=args.max_iter
             )
         else:
-            report = solve_dp_visible(game)
+            report = dp.solve_dp_visible(game)
     _emit(jsonio.report_to_dict(report), args.csv, _report_rows(report))
     return EXIT_OK if report.certified else EXIT_NOT_CERTIFIED
 
@@ -213,10 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _fill_solver_defaults(args) -> None:
+    solver = qif if args.kind == "qif" else dp
     if getattr(args, "tolerance", None) is None:
-        args.tolerance = 1e-4 if args.kind == "qif" else 1e-9
+        args.tolerance = solver.DEFAULT_TOLERANCE
     if getattr(args, "max_iter", None) is None:
-        args.max_iter = 200_000 if args.kind == "qif" else 1000
+        args.max_iter = solver.DEFAULT_MAX_ITER
 
 
 def run(argv=None) -> int:

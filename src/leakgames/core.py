@@ -43,6 +43,10 @@ class NegativeEntry(ValidationError):
     pass
 
 
+class NonFiniteEntry(ValidationError):
+    pass
+
+
 class DuplicateLabel(ValidationError):
     pass
 
@@ -111,10 +115,6 @@ class InvalidForwardProbability(ValidationError):
     pass
 
 
-class MaxIterationsExceeded(LeakGameError):
-    """Raised only on request; solvers normally return a non-certified report."""
-
-
 class Infeasible(LeakGameError):
     pass
 
@@ -138,6 +138,9 @@ def _as_matrix(rows, n_rows: int, n_cols: int, kind: str) -> np.ndarray:
         raise ShapeMismatch(
             f"{kind} table has shape {m.shape}, expected ({n_rows}, {n_cols})"
         )
+    if not np.all(np.isfinite(m)):
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(m))[0])
+        raise NonFiniteEntry(f"{kind} entry {bad} is {m[bad]!r}, not a finite number")
     out = np.array(m, dtype=float)
     out.setflags(write=False)
     return out
@@ -240,6 +243,8 @@ class Distribution:
             raise WeightCountMismatch(
                 f"{len(self.labels)} labels but weight vector of shape {w.shape}"
             )
+        if not np.all(np.isfinite(w)):
+            raise NonFiniteEntry(f"non-finite weight in {w.tolist()!r}")
         if np.any(w < -STOCHASTIC_TOL):
             raise NegativeEntry(f"negative weight {w.min()!r}")
         if abs(w.sum() - 1.0) > STOCHASTIC_TOL:

@@ -1,27 +1,27 @@
 """Equilibrium computation for QIF games.
 
-The defender-optimal strategy of a QIF game minimizes
+The defender-optimal strategy of a QIF game minimizes the worst-case
+posterior vulnerability over pure attacker responses,
 
-    f(delta) = max_a V[prior, sum_d delta(d) C_da],
+    f(delta) = max_a V[prior, sum_d delta(d) C_da]
+             = max_a sum_y max_w S0[a, :, w, y] . delta,
 
-the worst-case posterior vulnerability over pure attacker responses.
-Because posterior g-vulnerability with a finite guess set is piecewise
-linear in delta, f is convex and a subgradient is available in closed
-form, so projected subgradient descent applies: start at the uniform
-strategy, step against a subgradient with a diminishing step size
-(default 0.1/sqrt(k)), and project back onto the probability simplex.
+with S0[a, d, w, y] = sum_x prior(x) g(w, x) C_da(x, y).  With a finite
+guess set f is convex and piecewise linear, so one epigraph linear
+program gives the exact equilibrium (Boyd and Vandenberghe, Convex
+Optimization, section 4.3): minimize t over delta on the simplex, z[a, y]
+and t subject to S0[a, :, w, y] . delta <= z[a, y] and sum_y z[a, y] <= t.
 
-A running lower bound on the optimum certifies the answer: the descent
-stops once the best value seen and the best lower bound are within the
-requested tolerance.  The bound's constant uses the simplex radius around
-the uniform start, sqrt((n-1)/n) with n the number of defender actions.
-The certificate shrinks like O(1/sqrt(k)), so tight tolerances need very
-many iterations even when the iterate itself has long since converged;
-reports carry a ``certified`` flag rather than failing outright when the
-iteration budget runs out first.
+The LP duals certify the answer.  The multipliers of the t rows are an
+attacker strategy alpha; those of the (a, w, y) rows, normalized over w,
+are guess weights beta[a, w, y].  For any such alpha and beta, f(delta)
+is at least sum_a alpha(a) sum_{w, y} beta[a, w, y] S0[a, :, w, y] . delta,
+so L = min_d of that sum at the vertex delta = e_d bounds the game value
+from below whatever tolerances the LP solver ran with.
 
-A note on the subgradient: for finite guess sets, differentiating the
-active linear branch of f at delta gives components
+``subgradient`` and ``project_simplex`` expose the first-order view of f
+to the property suite.  Differentiating the active linear branch of f at
+delta gives components
 
     h_d = sum_y sum_x prior(x) * C_{d,a*}(x,y) * g(w*_y, x),
 
@@ -34,28 +34,23 @@ directly.)
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from .core import (
     Distribution,
     GameSpec,
     LabelMismatch,
+    NumericalFailure,
     SolveReport,
     ValidationError,
     WeightCountMismatch,
 )
+from .measures import prior_vulnerability
 
 DEFAULT_TOLERANCE = 1e-4
 DEFAULT_MAX_ITER = 200_000
-
-
-def default_step_size(k: int) -> float:
-    """Diminishing step size 0.1/sqrt(k); k counts from 1."""
-    return 0.1 / math.sqrt(k)
 
 
 def project_simplex(v) -> np.ndarray:
@@ -130,14 +125,6 @@ class QifObjective:
         scores = np.einsum("bd,adwy->bawy", deltas, self._s0)
         return scores.max(axis=2).sum(axis=2).max(axis=1)
 
-    def subgradient(self, delta: np.ndarray) -> np.ndarray:
-        scores = np.tensordot(delta, self._s0, axes=(0, 1))  # (a, w, y)
-        values = scores.max(axis=1).sum(axis=1)
-        a_idx = int(np.argmax(values))
-        w_star = np.argmax(scores[a_idx], axis=0)  # per-column best guess
-        cols = np.arange(scores.shape[2])
-        return self._s0[a_idx][:, w_star, cols].sum(axis=1)
-
     def value_and_subgradient(self, delta: np.ndarray) -> tuple[float, np.ndarray]:
         scores = np.tensordot(delta, self._s0, axes=(0, 1))
         colmax = scores.max(axis=1)
@@ -178,101 +165,114 @@ def subgradient(game: GameSpec, delta) -> np.ndarray:
     """A subgradient of f at delta (see module docstring for the formula)."""
     obj = QifObjective(game)
     d = strategy_weights(delta, game.defender_actions)
-    return obj.subgradient(d)
+    return obj.value_and_subgradient(d)[1]
 
 
-@dataclass
-class DescentState:
-    """Running statistics of the projected subgradient descent."""
-
-    delta: np.ndarray
-    k: int
-    step_sum: float
-    weighted_f_sum: float
-    grad_norm_sum: float
-    best_f: float
-    best_delta: np.ndarray
-    best_lower: float
-
-    def lower_bound(self, radius_sq: float) -> float:
-        return (
-            2.0 * self.weighted_f_sum - radius_sq - self.grad_norm_sum
-        ) / (2.0 * self.step_sum)
+def _certificate(s0: np.ndarray, res, live: np.ndarray, has_zero_row: np.ndarray):
+    """Dual attacker strategy and the lower bound it proves (module docstring)."""
+    n_a, n_d, n_w, n_y = s0.shape
+    alpha = np.clip(-res.ineqlin.marginals[live.size:], 0.0, None)
+    if not alpha.sum() > 0:
+        raise NumericalFailure("epigraph program returned no attacker strategy")
+    mass = np.zeros((n_a, n_w, n_y))
+    np.put(mass, live, np.clip(-res.ineqlin.marginals[: live.size], 0.0, None))
+    # the multiplier of a bound z[a, y] >= 0 is the weight of the all-zero
+    # rows it stands for: it adds nothing to L but counts in beta's total
+    on_zero = np.clip(res.lower.marginals[n_d:-1], 0.0, None) * has_zero_row
+    total = (mass.sum(axis=1) + on_zero.reshape(n_a, n_y))[:, None, :]
+    beta = np.divide(mass, total, out=np.full(mass.shape, 1.0 / n_w), where=total > 0)
+    alpha /= alpha.sum()
+    return alpha, float(np.einsum("a,awy,adwy->d", alpha, beta, s0).min())
 
 
 def solve_qif(
     game: GameSpec,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iter: int = DEFAULT_MAX_ITER,
-    step_size: Callable[[int], float] | None = None,
 ) -> SolveReport:
-    """Defender-optimal strategy of a QIF game by projected subgradient descent.
+    """Defender-optimal strategy of a QIF game from one epigraph LP.
 
-    Returns the best strategy seen together with its value and the
-    certificate gap (best value minus best proven lower bound).  When the
-    gap meets ``tolerance`` the report is certified and the value is
-    within ``tolerance`` of the equilibrium value; when ``max_iter`` runs
-    out first the best-so-far report is returned with ``certified=False``.
+    ``max_iter`` is the HiGHS simplex iteration limit.  The value is f at
+    the returned strategy, and the certificate gap is that value minus the
+    lower bound proven by the dual attacker strategy; the report is
+    certified when the gap meets ``tolerance``.  When the iteration limit
+    is hit, the uniform strategy is returned with the prior vulnerability
+    as its lower bound and ``certified=False``.
     """
-    if tolerance <= 0:
+    if not tolerance > 0:
         raise ValidationError(f"tolerance must be positive, got {tolerance!r}")
     if max_iter < 1:
         raise ValidationError(f"max_iter must be at least 1, got {max_iter!r}")
-    step = step_size or default_step_size
     obj = QifObjective(game)
-    n = len(game.defender_actions)
-
-    delta = np.full(n, 1.0 / n)
-    if n == 1:
-        value, _ = obj.value(delta)
+    s0 = obj._s0
+    n_a, n_d, n_w, n_y = s0.shape
+    if n_d == 1:
         return SolveReport(
-            defender_strategy=Distribution(game.defender_actions, delta),
-            value=value,
+            defender_strategy=Distribution(game.defender_actions, np.ones(1)),
+            value=obj.value(np.ones(1))[0],
             iterations=1,
             certificate_gap=0.0,
-            certified=True,
-            diagnostics={"method": "subgradient", "note": "single-action game"},
+            diagnostics={"method": "epigraph-lp", "note": "single-action game"},
         )
 
-    radius_sq = (n - 1) / n  # max squared distance from the uniform start
-    state = DescentState(
-        delta=delta,
-        k=0,
-        step_sum=0.0,
-        weighted_f_sum=0.0,
-        grad_norm_sum=0.0,
-        best_f=math.inf,
-        best_delta=delta.copy(),
-        best_lower=-math.inf,
+    # columns (delta, z[a, y], t); rows: the (a, w, y) rows with a nonzero
+    # coefficient, then one t row per attacker action.  An all-zero row
+    # says z[a, y] >= 0 and becomes that bound instead.
+    coef = s0.transpose(0, 2, 3, 1).reshape(-1, n_d)
+    nonzero = coef.any(axis=1)
+    live = np.flatnonzero(nonzero)
+    has_zero_row = ~nonzero.reshape(n_a, n_w, n_y).all(axis=1).ravel()
+    a_idx, _, y_idx = np.unravel_index(live, (n_a, n_w, n_y))
+    r, c = np.nonzero(coef[live])
+    t_rows = live.size + np.arange(n_a)
+    n_vars = n_d + n_a * n_y + 1
+    # S0[a, :, w, y] . delta - z[a, y] <= 0 on the live rows, then
+    # sum_y z[a, y] - t <= 0 on the t rows
+    vals = np.concatenate(
+        [coef[live[r], c], -np.ones(live.size), np.ones(n_a * n_y), -np.ones(n_a)]
+    )
+    rows = np.concatenate([r, np.arange(live.size), np.repeat(t_rows, n_y), t_rows])
+    cols = np.concatenate(
+        [c, n_d + a_idx * n_y + y_idx, np.arange(n_d, n_vars - 1), np.full(n_a, n_vars - 1)]
+    )
+    a_ub = sparse.csr_array((vals, (rows, cols)), shape=(live.size + n_a, n_vars))
+    lower = np.concatenate([np.zeros(n_d), np.where(has_zero_row, 0.0, -np.inf), [-np.inf]])
+    cost = np.zeros(n_vars)
+    cost[-1] = 1.0
+    res = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=np.zeros(a_ub.shape[0]),
+        A_eq=(np.arange(n_vars) < n_d)[None, :].astype(float),
+        b_eq=[1.0],
+        bounds=np.column_stack([lower, np.full(n_vars, np.inf)]),
+        method="highs",
+        options={"maxiter": max_iter},
     )
 
-    certified = False
-    for k in range(1, max_iter + 1):
-        f, h = obj.value_and_subgradient(state.delta)
-        if f < state.best_f:
-            state.best_f = f
-            state.best_delta = state.delta.copy()
-        s = step(k)
-        state.k = k
-        state.step_sum += s
-        state.weighted_f_sum += s * f
-        state.grad_norm_sum += s * s * float(h @ h)
-        state.best_lower = max(state.best_lower, state.lower_bound(radius_sq))
-        if state.best_f - state.best_lower <= tolerance:
-            certified = True
-            break
-        state.delta = project_simplex(state.delta - s * h)
-
-    gap = max(state.best_f - state.best_lower, 0.0)
+    alpha = None
+    if res.status == 1:  # iteration limit
+        delta = np.full(n_d, 1.0 / n_d)
+        bound = prior_vulnerability(game.measure.gain, game.measure.prior)
+    elif not res.success:
+        raise NumericalFailure(f"epigraph program failed: {res.message}")
+    else:
+        delta = np.clip(res.x[:n_d], 0.0, None)
+        delta /= delta.sum()
+        alpha, bound = _certificate(s0, res, live, has_zero_row)
+    value, _ = obj.value(delta)
+    gap = max(value - bound, 0.0)
     return SolveReport(
-        defender_strategy=Distribution(game.defender_actions, state.best_delta),
-        value=state.best_f,
-        iterations=state.k,
+        defender_strategy=Distribution(game.defender_actions, delta),
+        value=value,
+        iterations=int(res.nit),
         certificate_gap=gap,
-        certified=certified,
+        certified=bool(res.success) and gap <= tolerance,
+        attacker_strategy=alpha if alpha is None else Distribution(game.attacker_actions, alpha),
         diagnostics={
-            "method": "subgradient",
+            "method": "epigraph-lp",
             "tolerance": tolerance,
-            "best_lower_bound": state.best_lower,
+            "best_lower_bound": bound,
+            "lp_status": int(res.status),
         },
     )

@@ -301,9 +301,7 @@ def test_criterion_7_oracle_agreement():
         worst_qif = 0.0
         for _ in range(100):
             game = _rand_qif_game(rng)
-            # the 0.1/sqrt(k) certificate closes at O(1/sqrt(k)): 1e-2 is the
-            # accuracy the default schedule actually delivers by 1e4 steps
-            tolerance = 1e-2
+            tolerance = 1e-9
             report = solve_qif(game, tolerance=tolerance, max_iter=10_000)
             oracle_delta, oracle_value = brute_force_qif(game, grid_step)
             objective = QifObjective(game)

@@ -76,8 +76,8 @@ def test_build_then_solve_qif_pipe(tmp_path, capsys, monkeypatch):
         monkeypatch=monkeypatch,
     )
     report = json.loads(out.out)
-    assert abs(report["value"] - 0.75) <= 1e-3
-    assert code == 2  # accurate but not certified at this budget
+    assert abs(report["value"] - 0.75) <= 1e-9
+    assert code == 0
 
 
 def test_build_then_solve_dp_visible_pipe(capsys, monkeypatch):
@@ -298,9 +298,40 @@ def test_exit_noncertified_solve(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(canonical_dumps(game_to_dict(build_two_millionaires())))
     code, out = _run(
-        capsys, ["solve", "qif", str(path), "--tolerance", "1e-9", "--max-iter", "20"]
+        capsys, ["solve", "qif", str(path), "--tolerance", "1e-9", "--max-iter", "1"]
     )
-    assert code == 2
+    assert code == 2  # the LP needs two simplex iterations
+    assert json.loads(out.out)["certified"] is False
+
+
+def test_exit_parse_error_on_nan_literal(tmp_path, capsys):
+    path = tmp_path / "chan.json"
+    path.write_text('{"inputs": ["a", "b"], "outputs": ["y0", "y1"], '
+                    '"matrix": [[NaN, 1], [0.5, 0.5]]}')
+    code, out = _run(capsys, ["measure", "dp-level", str(path)])
+    assert code == 3
+    assert out.out == ""
+    assert "NaN" in out.err
+
+
+def test_exit_parse_error_on_infinity_in_game(tmp_path, capsys):
+    doc = game_to_dict(build_two_millionaires())
+    doc["measure"]["prior"] = [float("inf"), 0.5]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))  # writes the Infinity literal
+    code, out = _run(capsys, ["solve", "qif", str(path)])
+    assert code == 3
+    assert "Infinity" in out.err
+
+
+def test_exit_validation_error_on_overflowing_entry(tmp_path, capsys):
+    # 1e999 is valid JSON but parses to inf, which the channel rejects
+    path = tmp_path / "chan.json"
+    path.write_text('{"inputs": ["a", "b"], "outputs": ["y0", "y1"], '
+                    '"matrix": [[1e999, 1], [0.5, 0.5]]}')
+    code, out = _run(capsys, ["measure", "dp-level", str(path)])
+    assert code == 1
+    assert "not a finite number" in out.err
 
 
 def test_exit_success(tmp_path, capsys):

@@ -10,11 +10,13 @@ from leakgames.core import (
     DpMeasure,
     DuplicateLabel,
     EmptyDomain,
+    GainFunction,
     GameSpec,
     InputMismatch,
     LabelMismatch,
     NegativeEntry,
     NonConforming,
+    NonFiniteEntry,
     NonStochastic,
     QifMeasure,
     SolveReport,
@@ -46,6 +48,14 @@ def test_bad_row_sum_rejected():
 def test_negative_entry_rejected():
     with pytest.raises(NegativeEntry):
         channel_from_rows(["0", "1"], ["T", "F"], [[1.1, -0.1], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), None])
+def test_non_finite_entry_rejected(bad):
+    with pytest.raises(NonFiniteEntry):
+        channel_from_rows(["0", "1"], ["T", "F"], [[bad, 1], [0.5, 0.5]])
+    with pytest.raises(NonFiniteEntry):
+        GainFunction(("w0",), ("0", "1"), [[bad, 1.0]])
 
 
 def test_duplicate_labels_rejected():
@@ -158,6 +168,12 @@ def test_point_mass():
 def test_distribution_rejects_bad_sum():
     with pytest.raises(NonStochastic):
         Distribution(("a", "b"), [0.6, 0.6])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_distribution_rejects_non_finite_weight(bad):
+    with pytest.raises(NonFiniteEntry):
+        Distribution(("a", "b"), [bad, 0.5])
 
 
 def test_adjacency_all_pairs_orders():

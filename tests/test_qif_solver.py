@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from scipy.optimize import linprog
+
 from leakgames.core import (
+    GainFunction,
     GameSpec,
     MeasureMismatch,
     QifMeasure,
@@ -21,7 +24,13 @@ from leakgames.qif import (
     subgradient,
     worst_case_vulnerability,
 )
-from leakgames.scenarios import build_binary_sum, build_dp_example, build_two_millionaires
+from leakgames.scenarios import (
+    build_binary_sum,
+    build_crowds,
+    build_dp_example,
+    build_two_millionaires,
+    manet_config,
+)
 
 
 def _random_qif_game(rng, n_d=2, n_a=2, n_x=2, n_y=3):
@@ -234,19 +243,23 @@ def test_solve_single_action_immediate():
 
 
 def test_solver_flags_uncertified_on_budget():
-    rep = solve_qif(build_two_millionaires(), tolerance=1e-9, max_iter=50)
+    # two millionaires needs two simplex iterations; one is below the budget
+    rep = solve_qif(build_two_millionaires(), tolerance=1e-9, max_iter=1)
     assert not rep.certified
-    assert rep.iterations == 50
-    assert rep.certificate_gap > 1e-9
+    assert rep.iterations <= 1
+    assert np.allclose(rep.defender_strategy.weights, [0.5, 0.5])
+    assert rep.attacker_strategy is None
+    # the fallback bound is the prior vulnerability, 1/2 under a uniform prior
+    assert rep.diagnostics["best_lower_bound"] == pytest.approx(0.5)
+    assert rep.certificate_gap == pytest.approx(0.25)
 
 
 def test_lower_bound_is_sound():
-    # l(k) must stay below the true optimum throughout the run; checking the
-    # running max of l(k) against the optimum covers every iteration at once
     for game, optimum in [(build_two_millionaires(), 0.75), (build_binary_sum(), 0.5)]:
-        rep = solve_qif(game, tolerance=1e-6, max_iter=2000)
-        assert rep.diagnostics["best_lower_bound"] <= optimum + 1e-9
-        assert rep.value >= optimum - 1e-12
+        rep = solve_qif(game, tolerance=1e-9, max_iter=2000)
+        assert rep.certified
+        assert rep.diagnostics["best_lower_bound"] <= optimum + 1e-12
+        assert rep.value == pytest.approx(optimum, abs=1e-12)
 
 
 def test_lower_bound_sound_on_three_action_games():
@@ -257,15 +270,127 @@ def test_lower_bound_sound_on_three_action_games():
         game = _random_qif_game(rng, n_d=3, n_a=2)
         rep = solve_qif(game, tolerance=1e-6, max_iter=1500)
         _, grid_min = brute_force_qif(game, 0.01)
-        assert rep.diagnostics["best_lower_bound"] <= grid_min + 1e-6
+        assert rep.certified
+        assert rep.diagnostics["best_lower_bound"] <= grid_min + 1e-12
 
 
 def test_certified_report_respects_tolerance():
-    # loose tolerance so the certificate actually closes
     game = build_two_millionaires()
-    rep = solve_qif(game, tolerance=0.05, max_iter=100_000)
-    assert rep.certified
+    rep = solve_qif(game, tolerance=1e-9, max_iter=100_000)
+    assert rep.certified and rep.certificate_gap <= 1e-9
     obj = QifObjective(game)
     grid = np.linspace(0, 1, 401)
     best_grid = min(obj.value(np.array([t, 1 - t]))[0] for t in grid)
-    assert rep.value <= best_grid + 0.05 + 1e-6
+    assert rep.value <= best_grid + 1e-9
+
+
+# -- exact LP and its dual certificate ---------------------------------------------
+
+def _s0(game):
+    """S0[a, d, w, y] = sum_x prior(x) g(w, x) C_da(x, y), built from the channels."""
+    measure = game.measure
+    stack = np.array(
+        [[game.channel(d, a).matrix for d in game.defender_actions]
+         for a in game.attacker_actions]
+    )
+    return np.einsum("wx,x,adxy->adwy", measure.gain.table, measure.prior.weights, stack)
+
+
+def _dense_min(s0, alpha=None):
+    """Dense LP over (delta, z[a, y], t) keeping every (a, w, y) row.
+
+    Without ``alpha`` it minimizes t >= sum_y z[a, y] for every a (the game
+    value); with ``alpha`` it minimizes sum_a alpha(a) sum_y z[a, y], what a
+    defender can hold the mixed attacker strategy alpha to.
+    """
+    n_a, n_d, n_w, n_y = s0.shape
+    n_z = n_a * n_y
+    rows = []
+    for a in range(n_a):
+        for w in range(n_w):
+            for y in range(n_y):
+                row = np.zeros(n_d + n_z + 1)
+                row[:n_d] = s0[a, :, w, y]
+                row[n_d + a * n_y + y] = -1.0
+                rows.append(row)
+    cost = np.zeros(n_d + n_z + 1)
+    if alpha is None:
+        for a in range(n_a):
+            row = np.zeros(n_d + n_z + 1)
+            row[n_d + a * n_y : n_d + (a + 1) * n_y] = 1.0
+            row[-1] = -1.0
+            rows.append(row)
+        cost[-1] = 1.0
+    else:
+        cost[n_d : n_d + n_z] = np.repeat(alpha, n_y)
+    a_eq = np.zeros((1, n_d + n_z + 1))
+    a_eq[0, :n_d] = 1.0
+    res = linprog(
+        cost, A_ub=np.array(rows), b_ub=np.zeros(len(rows)), A_eq=a_eq, b_eq=[1.0],
+        bounds=[(0, None)] * n_d + [(None, None)] * (n_z + 1), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.success
+    return float(res.fun)
+
+
+def test_crowds_manet_value_exact():
+    rep = solve_qif(build_crowds(manet_config()), tolerance=1e-9)
+    assert rep.certified
+    assert rep.value == pytest.approx(0.0809595, abs=1e-7)
+
+
+def test_certificate_brackets_the_oracle():
+    from leakgames.audits import brute_force_qif
+
+    rng = np.random.default_rng(23)
+    for _ in range(5):
+        game = _random_qif_game(rng, n_a=3)
+        rep = solve_qif(game, tolerance=1e-9)
+        _, grid_min = brute_force_qif(game, 0.01)
+        assert rep.certified and rep.certificate_gap <= 1e-9
+        assert rep.diagnostics["best_lower_bound"] <= grid_min
+        assert rep.value <= grid_min + 1e-9  # the grid cannot beat the optimum
+        assert rep.value == pytest.approx(QifObjective(game).value(
+            rep.defender_strategy.weights)[0], abs=1e-15)
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=40, deadline=None)
+def test_attacker_strategy_guarantees_value(seed):
+    rng = np.random.default_rng(seed)
+    game = _random_qif_game(
+        rng, n_d=int(rng.integers(2, 5)), n_a=int(rng.integers(1, 5)), n_y=4
+    )
+    rep = solve_qif(game, tolerance=1e-9)
+    s0 = _s0(game)
+    assert rep.value == pytest.approx(_dense_min(s0), abs=1e-9)
+    alpha = rep.attacker_strategy.weights
+    assert _dense_min(s0, alpha) >= rep.value - 1e-9
+    # alpha plays only best responses to the defender's equilibrium strategy
+    per_action = QifObjective(game).per_action_values(rep.defender_strategy.weights)
+    assert np.all(per_action[alpha > 1e-9] >= rep.value - 1e-9)
+
+
+def test_negative_gains_and_zero_rows_solved_exactly():
+    # the gain table mixes signs and has an all-zero guess; every channel
+    # misses output y0, so S0 has all-zero rows for every guess at y0
+    rng = np.random.default_rng(5)
+    inputs, outputs = ["x0", "x1", "x2"], ["y0", "y1", "y2", "y3"]
+    chans = {}
+    for d in range(3):
+        for a in range(2):
+            raw = rng.random((3, 4))
+            raw[:, 0] = 0.0
+            chans[(str(d), str(a))] = channel_from_rows(
+                inputs, outputs, raw / raw.sum(1, keepdims=True)
+            )
+    table = np.array([[1.0, -2.0, 0.5], [-1.0, 0.5, 0.3], [0.0, 0.0, 0.0]])
+    gain = GainFunction(("w0", "w1", "w2"), tuple(inputs), table)
+    game = GameSpec(
+        ("0", "1", "2"), ("0", "1"), chans, QifMeasure(uniform(inputs), gain)
+    )
+    rep = solve_qif(game, tolerance=1e-9)
+    assert rep.certified and rep.certificate_gap <= 1e-9
+    assert rep.value == pytest.approx(_dense_min(_s0(game)), abs=1e-9)
+    assert _dense_min(_s0(game), rep.attacker_strategy.weights) >= rep.value - 1e-9
