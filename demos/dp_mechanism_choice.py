@@ -42,10 +42,10 @@ for t in (0.0, 0.14, 0.5, 0.86, 1.0):
     print(f"  delta = ({t:.2f}, {1-t:.2f}):  {value:.4f}")
 
 hidden = solve_dp_hidden(game)
-print(f"\nHidden-choice equilibrium (Dinkelbach, {hidden.iterations} rounds):")
+print(f"\nHidden-choice equilibrium (normalized Dinkelbach, {hidden.iterations} rounds):")
 print(f"  delta* = {np.round(hidden.defender_strategy.weights, 4)}")
 print(f"  value  = {hidden.value:.4f} nats")
-print(f"  residual |F_k| = {hidden.certificate_gap:.2e}")
+print(f"  certificate gap (nats) = {hidden.certificate_gap:.2e}")
 
 visible = solve_dp_visible(game)
 print(f"\nVisible-choice equilibrium: pure action d* = "

@@ -3,7 +3,7 @@
 Games couple defender/attacker action sets with a family of channels;
 utility is either posterior g-vulnerability (QIF games, solved exactly by
 one epigraph linear program) or the differential-privacy level (DP
-games, solved by Dinkelbach fractional programming for hidden choice and
+games, solved by normalized Dinkelbach rounds for hidden choice and
 argmin-max for visible choice).
 """
 

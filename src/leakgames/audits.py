@@ -398,7 +398,7 @@ def audit_game(game: GameSpec, seed: int = 0, n_priors: int = 50) -> dict:
         visible_report = solve_dp_visible(game)
         record(
             "visible_geq_hidden",
-            visible_report.value >= hidden_report.value - 1e-6,
+            visible_report.value >= hidden_report.diagnostics["best_lower_bound"],
             f"visible {visible_report.value:.6f} vs hidden {hidden_report.value:.6f}",
         )
         result["hidden_value"] = hidden_report.value

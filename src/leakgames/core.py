@@ -596,9 +596,9 @@ class SolveReport:
 
     ``value`` is a posterior vulnerability for QIF games and a DP level in
     nats for DP games.  ``certificate_gap`` is the solver's optimality
-    certificate (best value minus proven lower bound, or the residual
-    |F_k| of the fractional-programming loop); ``certified`` is False when
-    the iteration budget ran out before the gap met the tolerance.
+    certificate: the value minus a proven lower bound on the game value,
+    in the units of the value; ``certified`` is False when the iteration
+    budget ran out before the gap met the tolerance.
     """
 
     defender_strategy: Distribution

@@ -13,12 +13,21 @@ collapses to
 The visible case is a finite argmin-max.  The hidden case is generalized
 fractional programming over the entry ratios of adjacent rows: writing
 f_j(delta) = sum_d delta(d) C_da(x,y) and g_j(delta) for the adjacent row
-x', the objective is max_j f_j/g_j, minimized with a Dinkelbach-type
-loop: at each round set lambda_k to the current max ratio, then solve the
-linear program minimizing z subject to z >= f_j(delta) - lambda_k
-g_j(delta); stop when the LP optimum F_k(delta_k) reaches zero.  The
-lambda_k sequence is non-increasing and the final lambda is the game's
-max ratio, so the value in nats is ln(lambda).
+x', the objective is max_j f_j/g_j.  It is minimized by the normalized
+Dinkelbach rounds of Crouzeix, Ferland and Schaible ("An algorithm for
+generalized fractional programs", JOTA 47, 1985), which converge
+superlinearly: round k sets lambda_k to the max ratio at delta_k and
+solves the linear program minimizing t subject to
+(f_j - lambda_k g_j)(delta) / g_j(delta_k) <= t, whose solution is
+delta_{k+1}.  Each round LP is solved on a working set of rows, adding the
+most violated rows until none is (constraint generation).
+
+The round duals certify the answer.  For any mu >= 0 over the terms the
+optimal max ratio is at least the mediant sum_j mu_j f_j / sum_j mu_j g_j,
+and that ratio of linear forms is smallest at a vertex of the simplex, so
+L(mu) = min_d (mu . F[:, d]) / (mu . G[:, d]) is a lower bound however
+accurately the LP was solved.  The value is ln(lambda) at the best
+strategy found, and the certificate gap is that value minus ln L, in nats.
 
 Ratio terms where both coefficient vectors vanish (a zero column shared
 by the whole family, as conformance guarantees) carry no constraint and
@@ -94,7 +103,7 @@ def hidden_upper_bound(game: GameSpec, delta, alpha) -> float:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Parametric linear program of one Dinkelbach round.
+    """Parametric linear program of one unnormalized Dinkelbach round.
 
     Minimize z subject to z >= (f_j - lam * g_j) . delta for every ratio
     term j, with delta on the probability simplex.  Coefficient rows are
@@ -110,50 +119,31 @@ class LpProblem:
         f = np.asarray(self.f_coeffs, dtype=float)
         g = np.asarray(self.g_coeffs, dtype=float)
         if f.ndim != 2 or f.shape != g.shape:
-            raise ValidationError(
-                f"coefficient arrays disagree: {f.shape} vs {g.shape}"
-            )
+            raise ValidationError(f"coefficient arrays disagree: {f.shape} vs {g.shape}")
         object.__setattr__(self, "f_coeffs", f)
         object.__setattr__(self, "g_coeffs", g)
 
-    @property
-    def num_terms(self) -> int:
-        return self.f_coeffs.shape[0]
-
-    @property
-    def num_vars(self) -> int:
-        """Defender weights plus the epigraph variable z."""
-        return self.f_coeffs.shape[1] + 1
-
-    def ratio_terms(self):
-        return list(zip(self.f_coeffs, self.g_coeffs))
-
     def objective(self, delta: np.ndarray) -> float:
         """F(delta) = max_j [f_j(delta) - lam * g_j(delta)]."""
-        return float(
-            ((self.f_coeffs - self.lam * self.g_coeffs) @ delta).max()
-        )
+        return float(((self.f_coeffs - self.lam * self.g_coeffs) @ delta).max())
 
 
-def solve_lp(problem: LpProblem) -> tuple[np.ndarray, float]:
-    """Minimize the epigraph variable of a Dinkelbach round.
+def _epigraph(coeff: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """Minimize t subject to coeff . delta <= t with delta on the simplex.
 
-    Returns (delta, z) with z equal to the constraint maximum at delta.
+    Returns delta, the LP's t and the row duals (non-negative, summing to one).
     """
-    n_terms, n_d = problem.f_coeffs.shape
+    n_terms, n_d = coeff.shape
     if n_terms == 0:
         raise ValidationError("linear program has no ratio terms")
-    coeff = problem.f_coeffs - problem.lam * problem.g_coeffs
     c = np.zeros(n_d + 1)
     c[-1] = 1.0
-    a_ub = np.hstack([coeff, -np.ones((n_terms, 1))])
-    b_ub = np.zeros(n_terms)
     a_eq = np.ones((1, n_d + 1))
     a_eq[0, -1] = 0.0
     res = linprog(
         c,
-        A_ub=a_ub,
-        b_ub=b_ub,
+        A_ub=np.hstack([coeff, -np.ones((n_terms, 1))]),
+        b_ub=np.zeros(n_terms),
         A_eq=a_eq,
         b_eq=[1.0],
         bounds=[(0, None)] * n_d + [(None, None)],
@@ -167,12 +157,18 @@ def solve_lp(problem: LpProblem) -> tuple[np.ndarray, float]:
     total = delta.sum()
     if not math.isfinite(total) or total <= 0:
         raise NumericalFailure("linear program returned a degenerate strategy")
-    delta = delta / total
+    return delta / total, float(res.x[-1]), np.clip(-res.ineqlin.marginals, 0.0, None)
+
+
+def solve_lp(problem: LpProblem) -> tuple[np.ndarray, float]:
+    """Minimize the epigraph variable of a Dinkelbach round.
+
+    Returns (delta, z) with z equal to the constraint maximum at delta.
+    """
+    delta, t, _ = _epigraph(problem.f_coeffs - problem.lam * problem.g_coeffs)
     z = problem.objective(delta)
-    if abs(z - float(res.x[-1])) > 1e-7:
-        raise NumericalFailure(
-            f"epigraph value {res.x[-1]!r} disagrees with constraint max {z!r}"
-        )
+    if abs(z - t) > 1e-7:
+        raise NumericalFailure(f"epigraph value {t!r} disagrees with constraint max {z!r}")
     return delta, z
 
 
@@ -186,24 +182,15 @@ def build_ratio_terms(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
     conforming zero pattern guarantees happens in lockstep) are dropped.
     """
     adjacency = game.require_dp().adjacency
-    inputs = game.inputs
-    pair_list = list(adjacency.ordered_pairs(inputs))
-    f_rows: list[np.ndarray] = []
-    g_rows: list[np.ndarray] = []
-    for a in game.attacker_actions:
-        stack = np.stack([c.matrix for c in game.channels_for_attack(a)])  # (d, x, y)
-        for i, j in pair_list:
-            for y in range(stack.shape[2]):
-                f = stack[:, i, y]
-                g = stack[:, j, y]
-                if f.max(initial=0.0) <= ZERO_TOL and g.max(initial=0.0) <= ZERO_TOL:
-                    continue
-                f_rows.append(f)
-                g_rows.append(g)
-    if not f_rows:
-        n_d = len(game.defender_actions)
-        return np.zeros((0, n_d)), np.zeros((0, n_d))
-    return np.array(f_rows), np.array(g_rows)
+    pairs = np.array(list(adjacency.ordered_pairs(game.inputs)), dtype=int).reshape(-1, 2)
+    stack = np.stack(  # (a, d, x, y)
+        [[c.matrix for c in game.channels_for_attack(a)] for a in game.attacker_actions]
+    )
+    n_d = stack.shape[1]
+    f = stack[:, :, pairs[:, 0], :].transpose(0, 2, 3, 1).reshape(-1, n_d)
+    g = stack[:, :, pairs[:, 1], :].transpose(0, 2, 3, 1).reshape(-1, n_d)
+    live = (f.max(axis=1, initial=0.0) > ZERO_TOL) | (g.max(axis=1, initial=0.0) > ZERO_TOL)
+    return f[live], g[live]
 
 
 def _max_ratio(f_coeffs: np.ndarray, g_coeffs: np.ndarray, delta: np.ndarray) -> float:
@@ -220,65 +207,102 @@ def _max_ratio(f_coeffs: np.ndarray, g_coeffs: np.ndarray, delta: np.ndarray) ->
     return float((fv[live] / gv[live]).max())
 
 
+def _top(values: np.ndarray, k: int) -> np.ndarray:
+    return np.argpartition(values, -k)[-k:] if values.size > k else np.arange(values.size)
+
+
+def _round(coeff: np.ndarray, delta: np.ndarray):
+    """One round LP over all rows of ``coeff``, solved by constraint generation.
+
+    Starts from the 4 n_d rows largest at ``delta`` plus each vertex's
+    largest row, and adds the most violated rows until none is.  Returns
+    the LP's delta, its constraint maximum, the row duals padded with
+    zeros (duals of the full round LP) and the working-set size.
+    """
+    k = 4 * coeff.shape[1]
+    work = np.union1d(_top(coeff @ delta, k), coeff.argmax(axis=0))
+    while True:
+        delta, t, duals = _epigraph(coeff[work])
+        violation = coeff @ delta - t
+        violation[work] = -np.inf
+        new = _top(violation, k)
+        new = new[violation[new] > 1e-12]
+        if new.size == 0:
+            break
+        work = np.union1d(work, new)
+    padded = np.zeros(coeff.shape[0])
+    padded[work] = duals
+    return delta, float((coeff @ delta).max()), padded, int(work.size)
+
+
+def _lower_bound(f_coeffs: np.ndarray, g_coeffs: np.ndarray, mu: np.ndarray) -> float:
+    """L(mu), the lower bound on the optimal max ratio proven by mu >= 0.
+
+    Vertices with mu . G = 0 < mu . F never bind; one with both zero leaves
+    the bound at 1, which holds for every game.  L is rounded down by more
+    than the floating-point error of the two sums.
+    """
+    num, den = mu @ f_coeffs, mu @ g_coeffs
+    pos = den > 0
+    if not pos.any() or np.any(~pos & (num <= 0)):
+        return 1.0
+    rounding = 4 * (np.count_nonzero(mu) + 2) * np.finfo(float).eps
+    return float((num[pos] / den[pos]).min()) * (1.0 - rounding)
+
+
 def solve_dp_hidden(
     game: GameSpec,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SolveReport:
-    """Defender-optimal strategy for hidden choice via Dinkelbach iteration.
+    """Defender-optimal strategy for hidden choice by normalized Dinkelbach rounds.
 
-    The reported value is ln(lambda_k) in nats.  Any full-support
-    attacker strategy is optimal; the report carries the uniform one.
+    The value is ln(lambda) at the best strategy found; the certificate gap
+    is that value minus the best lower bound in nats proven by the round
+    duals, and the report is certified once the gap meets ``tolerance``.
+    ``max_iter`` is the round limit.  Any full-support attacker strategy
+    is optimal; the report carries the uniform one.
     """
     game.require_dp()
     if tolerance <= 0:
         raise ValidationError(f"tolerance must be positive, got {tolerance!r}")
     f_coeffs, g_coeffs = build_ratio_terms(game)
-    alpha = uniform(game.attacker_actions)
     n_d = len(game.defender_actions)
     delta = np.full(n_d, 1.0 / n_d)
-
-    if f_coeffs.shape[0] == 0:
-        # No adjacency constraints: every strategy is 0-differentially private.
-        return SolveReport(
-            defender_strategy=Distribution(game.defender_actions, delta),
-            value=0.0,
-            iterations=0,
-            certificate_gap=0.0,
-            certified=True,
-            attacker_strategy=alpha,
-            diagnostics={"method": "dinkelbach", "note": "empty adjacency"},
-        )
-
-    lam = math.nan
-    residual = math.inf
-    certified = False
+    g_uniform = g_coeffs @ delta  # conformance makes this positive on every term
+    lam = best = _max_ratio(f_coeffs, g_coeffs, delta)
+    # 1 bounds every game: adjacent rows both sum to one, so some ratio is >= 1
+    best_delta, lower = delta, 1.0
     lambdas: list[float] = []
     residuals: list[float] = []
-    iterations = 0
-    for k in range(1, max_iter + 1):
-        iterations = k
-        lam = _max_ratio(f_coeffs, g_coeffs, delta)
+    sizes: list[int] = []
+    while math.log(best / lower) > tolerance and len(lambdas) < max_iter:
         lambdas.append(lam)
-        problem = LpProblem(f_coeffs, g_coeffs, lam)
-        delta, residual = solve_lp(problem)
+        g_now = g_coeffs @ delta
+        scale = np.where(g_now > ZERO_TOL, g_now, g_uniform)[:, None]
+        delta, residual, duals, size = _round((f_coeffs - lam * g_coeffs) / scale, delta)
         residuals.append(residual)
-        if abs(residual) <= tolerance:
-            certified = True
-            break
+        sizes.append(size)
+        lower = max(lower, _lower_bound(f_coeffs, g_coeffs, duals / scale[:, 0]))
+        lam = _max_ratio(f_coeffs, g_coeffs, delta)
+        if lam < best:
+            best, best_delta = lam, delta
 
+    gap = max(math.log(best / lower), 0.0)
     return SolveReport(
-        defender_strategy=Distribution(game.defender_actions, delta),
-        value=math.log(lam),
-        iterations=iterations,
-        certificate_gap=abs(residual),
-        certified=certified,
-        attacker_strategy=alpha,
+        defender_strategy=Distribution(game.defender_actions, best_delta),
+        value=math.log(best),
+        iterations=len(lambdas),
+        certificate_gap=gap,
+        certified=gap <= tolerance,
+        attacker_strategy=uniform(game.attacker_actions),
         diagnostics={
-            "method": "dinkelbach",
+            "method": "normalized-dinkelbach",
             "tolerance": tolerance,
+            "best_lower_bound": math.log(lower),
             "lambda_history": lambdas,
             "residual_history": residuals,
+            "working_set": sizes,
         },
     )
 

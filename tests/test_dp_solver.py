@@ -1,6 +1,8 @@
-"""Dinkelbach solver and visible-choice argmin-max for DP games."""
+"""Normalized Dinkelbach solver and visible-choice argmin-max for DP games."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from leakgames.core import (
     channel_from_rows,
     uniform,
 )
+from leakgames import cli, jsonio
 from leakgames.dp import (
     DpObjective,
     LpProblem,
@@ -24,6 +27,8 @@ from leakgames.dp import (
     solve_dp_hidden,
     solve_dp_visible,
     solve_lp,
+    _epigraph,
+    _round,
 )
 from leakgames.measures import dp_level
 from leakgames.scenarios import build_dp_example
@@ -169,6 +174,23 @@ def test_lp_first_dinkelbach_round_nonpositive():
     assert z <= min(values) + 1e-9
 
 
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_working_set_round_solves_the_full_lp(seed):
+    # many rows, few of them in the first working set: constraint generation
+    # must reach the optimum of the LP over all rows, and the padded duals
+    # must be optimal duals of that LP
+    rng = np.random.default_rng(seed)
+    n_d = int(rng.integers(2, 5))
+    coeff = rng.normal(size=(400, n_d))
+    _, t_full, _ = _epigraph(coeff)
+    delta, t, duals, size = _round(coeff, np.full(n_d, 1.0 / n_d))
+    assert t == pytest.approx(t_full, abs=1e-9)
+    assert size < coeff.shape[0]
+    assert duals.min() >= 0 and duals.sum() == pytest.approx(1.0, abs=1e-9)
+    assert (duals @ coeff).min() >= t - 1e-9
+
+
 # -- Dinkelbach solver -----------------------------------------------------------
 
 def test_solve_hidden_two_mechanism_game():
@@ -201,6 +223,48 @@ def test_dinkelbach_matches_grid_oracle(seed):
     lams = rep.diagnostics["lambda_history"]
     assert all(lams[i + 1] <= lams[i] + 1e-12 for i in range(1, len(lams) - 1))
     assert all(r <= 1e-12 for r in rep.diagnostics["residual_history"])
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_dp_certificate_brackets_the_oracle(seed):
+    rng = np.random.default_rng(seed)
+    g = _random_dp_game(rng, n_d=int(rng.integers(2, 4)), n_a=int(rng.integers(2, 4)))
+    rep = solve_dp_hidden(g)
+    grid = simplex_grid(len(g.defender_actions), 0.005)
+    grid_value = float(DpObjective(g).value_batch(grid).min())
+    assert rep.diagnostics["best_lower_bound"] <= grid_value
+    assert rep.value <= grid_value + 1e-9
+    assert rep.certified and rep.certificate_gap <= 1e-9
+    assert rep.iterations <= 12
+
+
+def test_dp_example_value_exact():
+    rep = solve_dp_hidden(build_dp_example())
+    assert rep.certified
+    assert rep.value == pytest.approx(1.2108744870, abs=1e-9)
+
+
+def test_sparse_stall_certified_in_few_rounds():
+    # a sparse game on which plain Dinkelbach took 655 rounds and was
+    # certified 2.3e-7 nats above the optimum
+    doc = json.loads((Path(__file__).parent / "data" / "dp_sparse_stall.json").read_text())
+    rep = solve_dp_hidden(jsonio.game_from_dict(doc))
+    assert rep.certified and rep.iterations <= 12
+    assert rep.value == pytest.approx(6.657410083, abs=1e-9)
+    assert rep.diagnostics["best_lower_bound"] <= rep.value
+
+
+def test_round_budget_exhausted_is_uncertified(tmp_path, capsys):
+    rep = solve_dp_hidden(build_dp_example(), max_iter=1)
+    assert not rep.certified and rep.iterations == 1
+    assert math.isfinite(rep.certificate_gap) and rep.certificate_gap > 1e-9
+    assert rep.diagnostics["best_lower_bound"] <= 1.2108744870 <= rep.value
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(jsonio.game_to_dict(build_dp_example())))
+    code = cli.run(["solve", "dp", str(path), "--mode", "hidden", "--max-iter", "1"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["certified"] is False
 
 
 def test_solve_hidden_single_action():
@@ -255,4 +319,4 @@ def test_visible_at_least_hidden(seed):
     g = _random_dp_game(rng)
     hidden = solve_dp_hidden(g)
     visible = solve_dp_visible(g)
-    assert visible.value >= hidden.value - 1e-6
+    assert visible.value >= hidden.diagnostics["best_lower_bound"]
