@@ -16,8 +16,6 @@ from .core import (
     GameSpec,
     LabeledMatrix,
     LeakGameError,
-    MixedStrategy,
-    Prior,
     QifMeasure,
     SolveReport,
     ValidationError,

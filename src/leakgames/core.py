@@ -274,12 +274,6 @@ class Distribution:
         return f"Distribution({pairs})"
 
 
-# A prior over secrets and a mixed strategy over actions are structurally
-# the same object; keep both names for readability at call sites.
-Prior = Distribution
-MixedStrategy = Distribution
-
-
 def uniform(labels: Sequence[str]) -> Distribution:
     """Uniform distribution over a non-empty label list."""
     labels = _check_labels(labels, "distribution")

@@ -52,6 +52,12 @@ def canonical_dumps(obj: Any) -> str:
         )
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
+        if obj and set(map(type, obj)) == {float}:
+            # A float row in one format call; nan and inf spell an "n", and
+            # take the per-item path below.
+            text = ",".join(["%.17g"] * len(obj)) % tuple(obj)
+            if "n" not in text:
+                return "[" + text + "]"
         return "[" + ",".join(canonical_dumps(v) for v in obj) + "]"
     if isinstance(obj, np.ndarray):
         return canonical_dumps(obj.tolist())
@@ -226,16 +232,6 @@ def crowds_config_from_dict(doc: dict) -> CrowdsConfig:
         attacker_sites={str(k): tuple(v) for k, v in att.items()},
         defender_sites={str(k): tuple(v) for k, v in dfd.items()},
     )
-
-
-def crowds_config_to_dict(config: CrowdsConfig) -> dict:
-    return {
-        "nodes": list(config.nodes),
-        "edges": [list(e) for e in config.edges],
-        "forward_prob": config.forward_prob,
-        "attacker_sites": {k: list(v) for k, v in config.attacker_sites.items()},
-        "defender_sites": {k: list(v) for k, v in config.defender_sites.items()},
-    }
 
 
 def correlation_tables_from_json(doc) -> list[CorrelationTable]:

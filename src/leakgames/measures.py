@@ -88,16 +88,17 @@ def leakage(
     raise ValueError(f"unknown leakage mode {mode!r}")
 
 
+def _adjacent_pairs(adj: AdjacencyRelation, labels) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j) with i < j, one entry per adjacent input pair."""
+    pairs = [(i, j) for i, j in adj.ordered_pairs(labels) if i < j]
+    return np.array(pairs, dtype=int).reshape(-1, 2).T
+
+
 def is_conforming(channel: Channel, adj: AdjacencyRelation) -> bool:
     """True iff the zero pattern agrees across every adjacent input pair."""
-    adj.check_labels(channel.inputs)
+    i, j = _adjacent_pairs(adj, channel.inputs)
     zero = channel.matrix <= ZERO_TOL
-    for i, j in adj.ordered_pairs(channel.inputs):
-        if i > j:
-            continue
-        if np.any(zero[i] != zero[j]):
-            return False
-    return True
+    return not np.any(zero[i] != zero[j])
 
 
 def dp_level(channel: Channel, adj: AdjacencyRelation) -> float:
@@ -109,21 +110,16 @@ def dp_level(channel: Channel, adj: AdjacencyRelation) -> float:
     as exact zeros, and ratios where both sides vanish are skipped (the
     conforming zero pattern carries no constraint).
     """
-    adj.check_labels(channel.inputs)
+    i, j = _adjacent_pairs(adj, channel.inputs)
     m = channel.matrix
     zero = m <= ZERO_TOL
-    best = 1.0
-    for i, j in adj.ordered_pairs(channel.inputs):
-        if i > j:
-            continue
-        if np.any(zero[i] != zero[j]):
-            return INFINITE
-        live = ~zero[i]
-        if not live.any():
-            continue
-        ratios = m[i, live] / m[j, live]
-        best = max(best, float(ratios.max()), float((1.0 / ratios).max()))
-    return math.log(best)
+    if np.any(zero[i] != zero[j]):
+        return INFINITE
+    live = ~zero[i]
+    if not live.any():
+        return 0.0
+    ratios = m[i][live] / m[j][live]
+    return math.log(max(1.0, float(ratios.max()), float((1.0 / ratios).max())))
 
 
 def check_dp(channel: Channel, adj: AdjacencyRelation, eps: float) -> bool:

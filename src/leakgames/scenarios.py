@@ -425,7 +425,9 @@ def crowds_channel(config: CrowdsConfig, defender_site: str, attacker_site: str)
     with probability 1 - forward_prob and otherwise forwards uniformly.
 
     Detection probabilities come from the absorbing Markov chain over
-    forwarder states (dense linear solve).
+    forwarder states (dense linear solve).  Each initiator's detections
+    are summed over its neighbors in adjacency order, so the output is
+    byte-stable.
     """
     nodes = config.nodes
     n = len(nodes)
@@ -435,36 +437,33 @@ def crowds_channel(config: CrowdsConfig, defender_site: str, attacker_site: str)
     deliver = set(_site_neighbors(config.defender_sites, defender_site, "defender"))
     p_f = config.forward_prob
 
+    is_corrupt = np.array([z in corrupt for z in nodes])
+    # A lone node with no site in range forwards nowhere; degree 1 keeps its
+    # all-zero terms finite.
     degree = np.array(
-        [
-            len(adj[z]) + (z in corrupt) + (z in deliver)
-            for z in nodes
-        ],
+        [max(1, len(adj[z]) + (z in corrupt) + (z in deliver)) for z in nodes],
         dtype=float,
     )
-
-    transit = np.zeros((n, n))
-    onto_corrupt = np.zeros(n)
+    # neighbors[x, k]: index of x's k-th neighbor in adjacency order, padded
+    # with n, which names the all-zero row appended to absorb below.
+    width = max(len(adj[z]) for z in nodes)
+    neighbors = np.full((n, width), n)
     for z in nodes:
-        zi = index[z]
-        for w in adj[z]:
-            transit[zi, index[w]] = p_f / degree[zi]
-        if z in corrupt:
-            onto_corrupt[zi] = p_f / degree[zi]
+        neighbors[index[z], : len(adj[z])] = [index[w] for w in adj[z]]
+
+    transit = np.zeros((n, n + 1))  # the padding column n is dropped
+    transit[np.arange(n)[:, None], neighbors] = (p_f / degree)[:, None]
+    onto_corrupt = np.where(is_corrupt, p_f / degree, 0.0)
 
     # absorb[z, j]: from forwarder z, probability of eventual detection at j.
-    absorb = np.linalg.solve(np.eye(n) - transit, np.diag(onto_corrupt))
+    absorb = np.linalg.solve(np.eye(n) - transit[:, :n], np.diag(onto_corrupt))
+    absorb = np.vstack([absorb, np.zeros(n)])
 
-    rows = np.zeros((n, n + 1))
-    for x in nodes:
-        xi = index[x]
-        det = np.zeros(n)
-        for w in adj[x]:
-            det += absorb[index[w]] / degree[xi]
-        if x in corrupt:
-            det[xi] += 1.0 / degree[xi]
-        rows[xi, :n] = det
-        rows[xi, n] = max(0.0, 1.0 - det.sum())
+    det = np.zeros((n, n))
+    for k in range(width):
+        det += absorb[neighbors[:, k]] / degree[:, None]
+    det[np.arange(n), np.arange(n)] += is_corrupt / degree
+    rows = np.column_stack([det, np.maximum(0.0, 1.0 - det.sum(axis=1))])
 
     outputs = nodes + (NO_DETECTION,)
     return channel_from_rows(nodes, outputs, rows)

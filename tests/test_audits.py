@@ -1,9 +1,11 @@
 """Brute-force oracles, Bayesian DP bounds, and the independence witness."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leakgames.audits import (
     audit_game,
@@ -24,6 +26,7 @@ from leakgames.core import (
     QifMeasure,
     TooManyActions,
     ValidationError,
+    ZERO_TOL,
     bayes_gain,
     channel_from_rows,
     uniform,
@@ -35,6 +38,8 @@ from leakgames.scenarios import (
     build_two_millionaires,
     randomized_response,
 )
+from leakgames.measures import dp_level
+from sparse_channels import sparse_channel
 
 ALL = AdjacencyRelation.all_pairs()
 
@@ -169,6 +174,83 @@ def test_hypothesis_bound_never_fails_at_own_level(seed):
     )
     report = check_bayes_hypothesis_bound(c, ALL, random_priors(c.inputs, 20, seed))
     assert report.holds
+
+
+def test_hypothesis_bound_skips_dust_entries():
+    # The "1|0" channel of the unsound-certificate game: 1e-15 is a zero
+    # under ZERO_TOL and faces an exact 0 in the other row.
+    c = channel_from_rows(
+        ["x0", "x1"],
+        ["y0", "y1", "y2"],
+        [
+            [0.42571773865997686, 1e-15, 0.57428226134002214],
+            [0.46704010266997165, 0, 0.53295989733002835],
+        ],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = check_bayes_hypothesis_bound(c, ALL, random_priors(c.inputs, 50, 0))
+    assert report.holds
+    assert math.isfinite(report.max_slack) and report.max_slack <= 1e-9
+    assert report.epsilon == dp_level(c, ALL) == pytest.approx(0.0926, abs=1e-4)
+
+
+def _loop_hypothesis_bound(channel, adj, priors, slack_tol):
+    """Prior-by-prior loop form of the posterior-odds audit, kept as an oracle."""
+    eps = dp_level(channel, adj)
+    max_slack = -math.inf
+    violations = []
+    for p_idx, prior in enumerate(priors):
+        joint = prior.weights[:, None] * channel.matrix
+        p_y = joint.sum(axis=0)
+        for i, j in adj.ordered_pairs(channel.inputs):
+            for y in range(len(channel.outputs)):
+                if p_y[y] <= 0 or joint[i, y] <= 0:
+                    continue
+                post_odds = joint[i, y] / joint[j, y]
+                prior_odds = prior.weights[i] / prior.weights[j]
+                slack = math.log(post_odds / prior_odds) - eps
+                max_slack = max(max_slack, slack)
+                if slack > slack_tol:
+                    violations.append(
+                        f"prior#{p_idx} pair ({channel.inputs[i]},{channel.inputs[j]}) "
+                        f"output {channel.outputs[y]}: slack {slack:.3e}"
+                    )
+    return (0.0 if max_slack == -math.inf else max_slack), tuple(violations)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 6),
+    st.sampled_from([1e-9, 0.0, -1e-15, -0.5]),
+)
+@settings(max_examples=50, deadline=None)
+def test_hypothesis_bound_matches_loop(seed, n_priors, slack_tol):
+    # Negative tolerances turn most terms into violations, so the message
+    # text and order are compared as well as the maximum.
+    channel, adj = sparse_channel(seed)
+    assert not np.any((channel.matrix > 0) & (channel.matrix <= ZERO_TOL))
+    priors = random_priors(channel.inputs, n_priors, seed)
+    if dp_level(channel, adj) == math.inf:
+        with pytest.raises(NonConforming):
+            check_bayes_hypothesis_bound(channel, adj, priors, slack_tol)
+        return
+    report = check_bayes_hypothesis_bound(channel, adj, priors, slack_tol)
+    assert (report.max_slack, report.violations) == _loop_hypothesis_bound(
+        channel, adj, priors, slack_tol
+    )
+
+
+
+def test_hypothesis_bound_slack_follows_math_log():
+    # numpy's vector log and math.log can differ in the last bit; the
+    # report must read as the loop form's math.log does, on every channel.
+    rng = np.random.default_rng(7)
+    priors = [uniform(["x0", "x1"])]
+    for a, b in rng.uniform(0.05, 0.95, size=(1000, 2)):
+        c = channel_from_rows(["x0", "x1"], ["y0", "y1"], [[a, 1 - a], [b, 1 - b]])
+        report = check_bayes_hypothesis_bound(c, ALL, priors)
+        assert report.max_slack == _loop_hypothesis_bound(c, ALL, priors, 1e-9)[0]
 
 
 # -- information-increase bound ----------------------------------------------------------

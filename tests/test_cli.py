@@ -2,11 +2,16 @@
 
 import io
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leakgames.cli import main
+from leakgames.core import ValidationError
 from leakgames.jsonio import (
+    _fmt_float,
     canonical_dumps,
     channel_to_dict,
     game_from_dict,
@@ -57,6 +62,52 @@ def test_round_trip_crowds_game():
 def test_canonical_floats_have_full_precision():
     text = canonical_dumps({"x": 0.1})
     assert json.loads(text)["x"] == 0.1
+
+
+def _per_item(row):
+    return "[" + ",".join(_fmt_float(x) for x in row) + "]"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [-0.0],
+        [0.0, -0.0, 5e-324, -5e-324],
+        [2.2250738585072014e-308, 2.225073858507201e-308, 1e308, -1.7976931348623157e308],
+        [0.1, 0.2, 0.30000000000000004, 1 / 3],
+        [1.0, -2.0, 100.0, 1e16, 2.0**53 + 2, 1e22],
+        [0.42571773865997686, 1e-15, 0.57428226134002214],
+    ],
+)
+def test_float_row_matches_per_item_rule(row):
+    # Rows of plain floats print in one format call; the text must be the
+    # per-item rule's, as a list and as a tuple.
+    assert canonical_dumps(row) == _per_item(row)
+    assert canonical_dumps(tuple(row)) == _per_item(row)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=12))
+def test_float_row_matches_per_item_rule_random(row):
+    assert canonical_dumps(row) == _per_item(row)
+
+
+def test_float_row_special_values():
+    assert canonical_dumps([1.0, math.inf]) == '[1,"inf"]'
+    assert canonical_dumps([-math.inf, 0.5]) == '["-inf",0.5]'
+    with pytest.raises(ValidationError):
+        canonical_dumps([math.nan])
+    with pytest.raises(ValidationError):
+        canonical_dumps([1.0, math.nan])
+    assert canonical_dumps([]) == "[]"
+
+
+def test_mixed_rows_keep_the_per_item_rule():
+    assert canonical_dumps([1, 2.5, -0.0]) == "[1,2.5,-0]"
+    assert canonical_dumps([True, 1.5, False]) == "[true,1.5,false]"
+    assert canonical_dumps([np.float64(0.1), 1.0]) == "[0.10000000000000001,1]"
+    assert canonical_dumps([np.float64(math.inf)]) == '["inf"]'
+    assert canonical_dumps([[0.5, 0.25], [1, None]]) == "[[0.5,0.25],[1,null]]"
 
 
 def _run(capsys, argv, stdin_text=None, monkeypatch=None):

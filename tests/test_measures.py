@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from leakgames.algebra import hidden_choice, visible_choice
 from leakgames.core import (
+    ZERO_TOL,
     AdjacencyRelation,
     Distribution,
     GainFunction,
@@ -29,6 +30,7 @@ from leakgames.measures import (
     prior_vulnerability,
 )
 from leakgames.scenarios import randomized_response
+from sparse_channels import sparse_channel
 
 XY = (["0", "1"], ["T", "F"])
 ALL = AdjacencyRelation.all_pairs()
@@ -193,6 +195,32 @@ def test_dp_level_nonconforming_infinite():
 def test_dp_level_empty_adjacency_zero():
     empty = AdjacencyRelation.explicit([])
     assert dp_level(_chan([[1, 0], [0.5, 0.5]]), empty) == 0.0
+
+
+def _loop_dp_level(channel, adj):
+    """Pair-by-pair form of dp_level, kept as an oracle."""
+    m = channel.matrix
+    zero = m <= ZERO_TOL
+    best = 1.0
+    for i, j in adj.ordered_pairs(channel.inputs):
+        if i > j:
+            continue
+        if np.any(zero[i] != zero[j]):
+            return INFINITE
+        live = ~zero[i]
+        if not live.any():
+            continue
+        ratios = m[i, live] / m[j, live]
+        best = max(best, float(ratios.max()), float((1.0 / ratios).max()))
+    return math.log(best)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_dp_level_matches_pairwise_loop(seed, dust):
+    channel, adj = sparse_channel(seed, dust)
+    assert dp_level(channel, adj) == _loop_dp_level(channel, adj)
+    assert is_conforming(channel, adj) == (_loop_dp_level(channel, adj) != INFINITE)
 
 
 def test_check_dp_examples():

@@ -338,3 +338,75 @@ def test_manet_topology_loads_and_validates():
     for d in game.defender_actions:
         for a in game.attacker_actions:
             assert np.all(np.abs(game.channel(d, a).matrix.sum(axis=1) - 1) <= 1e-9)
+
+
+# -- Crowds channels against the per-initiator loop -------------------------------
+
+def _loop_crowds_channel(config, defender_site, attacker_site):
+    """Per-initiator loop form of crowds_channel, kept as a byte-level oracle."""
+    nodes = config.nodes
+    n = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    adj = config.adjacency()
+    corrupt = set(config.attacker_sites[attacker_site])
+    deliver = set(config.defender_sites[defender_site])
+    p_f = config.forward_prob
+    degree = np.array(
+        [len(adj[z]) + (z in corrupt) + (z in deliver) for z in nodes], dtype=float
+    )
+    transit = np.zeros((n, n))
+    onto_corrupt = np.zeros(n)
+    for z in nodes:
+        zi = index[z]
+        for w in adj[z]:
+            transit[zi, index[w]] = p_f / degree[zi]
+        if z in corrupt:
+            onto_corrupt[zi] = p_f / degree[zi]
+    absorb = np.linalg.solve(np.eye(n) - transit, np.diag(onto_corrupt))
+    rows = np.zeros((n, n + 1))
+    for x in nodes:
+        xi = index[x]
+        det = np.zeros(n)
+        for w in adj[x]:
+            det += absorb[index[w]] / degree[xi]
+        if x in corrupt:
+            det[xi] += 1.0 / degree[xi]
+        rows[xi, :n] = det
+        rows[xi, n] = max(0.0, 1.0 - det.sum())
+    return rows
+
+
+def _assert_every_profile_matches_loop(cfg):
+    for d in cfg.defender_sites:
+        for a in cfg.attacker_sites:
+            assert np.array_equal(crowds_channel(cfg, d, a).matrix,
+                                  _loop_crowds_channel(cfg, d, a)), (d, a)
+
+
+@pytest.mark.parametrize("forward_prob", [0.8, 0.5])
+def test_crowds_channel_matches_loop_on_manet(forward_prob):
+    _assert_every_profile_matches_loop(manet_config(forward_prob))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_crowds_channel_matches_loop_with_empty_and_shared_sites(seed):
+    rng = np.random.default_rng(seed + 300)
+    n = 14
+    nodes = tuple(f"n{i}" for i in range(n))
+    edges = {(nodes[i - 1], nodes[i]) for i in range(1, n)}
+    for _ in range(2 * n):
+        i, j = rng.integers(0, n, size=2)
+        if i != j:
+            edges.add(tuple(sorted((nodes[i], nodes[j]))))
+    picks = [tuple(nodes[i] for i in sorted(rng.choice(n, size=4, replace=False)))
+             for _ in range(2)]
+    shared = nodes[int(rng.integers(0, n))]
+    cfg = CrowdsConfig(
+        nodes=nodes,
+        edges=tuple(edges),
+        forward_prob=float(rng.uniform(0.3, 0.9)),
+        attacker_sites={"far": (), "a1": picks[0] + (shared,), "a2": picks[1]},
+        defender_sites={"none": (), "d1": (shared,) + picks[1]},
+    )
+    assert shared in cfg.attacker_sites["a1"] and shared in cfg.defender_sites["d1"]
+    _assert_every_profile_matches_loop(cfg)
