@@ -34,15 +34,9 @@ from .core import (
     uniform,
 )
 from .algebra import hidden_choice
-from .measures import bayes_posterior, check_dp, dp_level, is_conforming
+from .measures import INFINITE, bayes_posterior, check_dp, dp_level, dp_levels
 from .qif import QifObjective
-from .dp import (
-    DpObjective,
-    dp_utility_hidden,
-    hidden_upper_bound,
-    solve_dp_hidden,
-    solve_dp_visible,
-)
+from .dp import DpObjective, solve_dp_hidden, solve_dp_visible
 
 MAX_ORACLE_ACTIONS = 4
 
@@ -137,20 +131,20 @@ def check_bayes_hypothesis_bound(
     near the maximum or past the tolerance are recomputed with
     ``math.log``, so the report does not depend on how numpy rounds.
     """
-    if not is_conforming(channel, adj):
-        raise NonConforming("channel does not conform to the adjacency relation")
     eps = dp_level(channel, adj)
+    if eps == INFINITE:
+        raise NonConforming("channel does not conform to the adjacency relation")
     for prior in priors:
         if prior.labels != channel.inputs:
             raise ValidationError("prior labels must match channel inputs")
         if np.any(prior.weights <= 0):
             raise ValidationError("hypothesis-bound audit needs full-support priors")
-    pairs = np.array(list(adj.ordered_pairs(channel.inputs)), dtype=int).reshape(-1, 2)
+    i, j = adj.index_pairs(channel.inputs)
     # (pair, output) terms in loop order; conformance makes C(x',y) live too.
-    k, y = np.nonzero(channel.matrix[pairs[:, 0]] > ZERO_TOL)
+    k, y = np.nonzero(channel.matrix[i] > ZERO_TOL)
     if not priors or not k.size:
         return HypothesisBoundReport(eps, 0.0, ())
-    i, j = pairs[k, 0], pairs[k, 1]
+    i, j = i[k], j[k]
     weights = np.array([prior.weights for prior in priors])
     joint = weights[:, :, None] * channel.matrix
     ratio = (joint[:, i, y] / joint[:, j, y]) / (weights[:, i] / weights[:, j])
@@ -212,9 +206,9 @@ def check_info_increase_bounds(
         )
     if alpha < 0:
         raise ValidationError(f"alpha must be non-negative, got {alpha!r}")
-    if not is_conforming(channel, adj):
-        raise NonConforming("channel does not conform to all-pairs adjacency")
     eps = dp_level(channel, adj)
+    if eps == INFINITE:
+        raise NonConforming("channel does not conform to all-pairs adjacency")
 
     direction1 = eps <= alpha + 1e-12
     violations = []
@@ -375,36 +369,28 @@ def audit_game(game: GameSpec, seed: int = 0, n_priors: int = 50) -> dict:
         record("objective_convexity", ok)
     else:
         adjacency = game.measure.adjacency
-        levels = {
-            (d, a): dp_level(game.channel(d, a), adjacency)
-            for d in game.defender_actions
-            for a in game.attacker_actions
-        }
-        result["pure_levels"] = {f"{d}|{a}": v for (d, a), v in levels.items()}
+        visible_report = solve_dp_visible(game)
+        levels = np.array(visible_report.diagnostics["pure_levels"])  # (d, a)
+        keys = (f"{d}|{a}" for d in game.defender_actions for a in game.attacker_actions)
+        result["pure_levels"] = dict(zip(keys, levels.ravel().tolist()))
 
-        n_d = len(game.defender_actions)
-        n_a = len(game.attacker_actions)
+        n_d, n_a = levels.shape
         ok_q = ok_b = ok_full = True
         for _ in range(25):
             delta = rng.dirichlet(np.ones(n_d))
             alpha = rng.dirichlet(np.ones(n_a))
-            hidden = dp_utility_hidden(game, delta, alpha)
-            bound = hidden_upper_bound(game, delta, alpha)
+            mixed_stack = np.tensordot(delta, game.matrices, axes=(0, 0))  # (a, x, y)
+            mixed = dp_levels(mixed_stack, adjacency, game.inputs)
+            hidden = mixed[alpha > 0].max(initial=0.0)
+            bound = levels[np.ix_(delta > 0, alpha > 0)].max(initial=0.0)
             ok_b = ok_b and hidden <= bound + 1e-9
-            full = dp_utility_hidden(game, delta, uniform(game.attacker_actions))
-            ok_full = ok_full and full >= hidden - 1e-12
-            for a in game.attacker_actions:
-                mixed_level = dp_level(
-                    hidden_choice(delta, game.channels_for_attack(a)), adjacency
-                )
-                cap = max(levels[(d, a)] for d in game.defender_actions)
-                ok_q = ok_q and mixed_level <= cap + 1e-9
+            ok_full = ok_full and mixed.max() >= hidden - 1e-12
+            ok_q = ok_q and bool(np.all(mixed <= levels.max(axis=0) + 1e-9))
         record("quasi_convexity", ok_q)
         record("hidden_upper_bound", ok_b)
         record("full_support_attacker_optimal", ok_full)
 
         hidden_report = solve_dp_hidden(game)
-        visible_report = solve_dp_visible(game)
         record(
             "visible_geq_hidden",
             visible_report.value >= hidden_report.diagnostics["best_lower_bound"],

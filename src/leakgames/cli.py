@@ -22,10 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from .core import LeakGameError, SolveReport, ValidationError
-from .measures import dp_level, is_conforming, posterior_vulnerability
+from .measures import dp_level, posterior_vulnerability
 from . import dp, qif
 from .audits import audit_game
 from . import scenarios
@@ -109,7 +110,7 @@ def _cmd_measure(args) -> int:
         level = dp_level(channel, adj)
         record = {
             "measure": "dp-level",
-            "conforming": is_conforming(channel, adj),
+            "conforming": math.isfinite(level),
             "dp_level": level if math.isfinite(level) else "inf",
             "units": "nats",
         }
@@ -242,7 +243,14 @@ def run(argv=None) -> int:
 
 
 def main(argv=None) -> int:
-    return run(argv)
+    try:
+        code = run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: discard the rest, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ rejected, never renormalized, so data errors surface at the boundary.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -21,9 +22,9 @@ import numpy as np
 
 STOCHASTIC_TOL = 1e-9
 
-# Entries smaller than this are treated as exact zeros when comparing
-# zero patterns (conformance checking); guards against float dust left
-# behind by cascades and mixtures.
+# Entries at or below this are treated as exact zeros: in zero patterns
+# (conformance), DP levels and the hidden DP solver's ratio terms; guards
+# against float dust left behind by cascades and mixtures.
 ZERO_TOL = 1e-15
 
 
@@ -220,9 +221,6 @@ class LabeledMatrix:
         m = _as_matrix(self.matrix, len(self.inputs), len(self.outputs), "matrix")
         object.__setattr__(self, "matrix", m)
 
-    def as_channel(self) -> Channel:
-        return Channel(self.inputs, self.outputs, self.matrix)
-
 
 @dataclass(frozen=True, eq=False)
 class Distribution:
@@ -380,6 +378,11 @@ class AdjacencyRelation:
                 yield index[a], index[b]
                 yield index[b], index[a]
 
+    def index_pairs(self, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (i, j) of ``ordered_pairs``, in the same order."""
+        pairs = np.array(list(self.ordered_pairs(labels)), dtype=int).reshape(-1, 2)
+        return pairs[:, 0], pairs[:, 1]
+
     def adjacent(self, x: str, y: str) -> bool:
         if x == y:
             return False
@@ -465,17 +468,14 @@ def align_outputs(channels: Sequence[Channel]) -> list[Channel]:
     return out
 
 
-def _conformance_violation(channel: Channel, adj: AdjacencyRelation):
-    """First zero-pattern disagreement on an adjacent pair, or None."""
-    zero = channel.matrix <= ZERO_TOL
-    for i, j in adj.ordered_pairs(channel.inputs):
-        if i > j:
-            continue  # pattern check is symmetric
-        bad = np.nonzero(zero[i] != zero[j])[0]
-        if bad.size:
-            y = int(bad[0])
-            return channel.inputs[i], channel.inputs[j], channel.outputs[y]
-    return None
+def zero_mismatch(matrices: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """(..., pair, y) mask where exactly one of C(i,y), C(j,y) is at most ``ZERO_TOL``.
+
+    ``matrices`` is any (..., x, y) stack of channel matrices; a hit means
+    the zero pattern disagrees on that adjacent pair (non-conformance).
+    """
+    zero = matrices <= ZERO_TOL
+    return zero[..., i, :] != zero[..., j, :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -520,21 +520,32 @@ class GameSpec:
                     f"{self.measure.prior.labels} vs {aligned[0].inputs}"
                 )
         elif isinstance(self.measure, DpMeasure):
-            self.measure.adjacency.check_labels(aligned[0].inputs)
-            for p, c in chan_map.items():
-                hit = _conformance_violation(c, self.measure.adjacency)
-                if hit is not None:
-                    x, x2, y = hit
-                    raise NonConforming(
-                        f"channel for profile {p} breaks the zero-pattern "
-                        f"condition at inputs ({x!r}, {x2!r}), output {y!r}"
-                    )
+            i, j = self.measure.adjacency.index_pairs(aligned[0].inputs)
+            i, j = i[i < j], j[i < j]  # the zero-pattern check is symmetric
+            hit = np.argwhere(zero_mismatch(self.matrices, i, j))
+            if hit.size:
+                d, a, k, y = hit[0]
+                raise NonConforming(
+                    f"channel for profile {(d_actions[d], a_actions[a])} breaks the "
+                    f"zero-pattern condition at inputs ({self.inputs[i[k]]!r}, "
+                    f"{self.inputs[j[k]]!r}), output {self.outputs[y]!r}"
+                )
         else:
             raise ValidationError(f"unknown measure {self.measure!r}")
 
     @property
     def inputs(self) -> tuple[str, ...]:
         return next(iter(self.channels.values())).inputs
+
+    @functools.cached_property
+    def matrices(self) -> np.ndarray:
+        """Read-only (defender action, attacker action, x, y) stack of the channels."""
+        stack = np.array(
+            [[self.channels[(d, a)].matrix for a in self.attacker_actions]
+             for d in self.defender_actions]
+        )
+        stack.setflags(write=False)
+        return stack
 
     @property
     def outputs(self) -> tuple[str, ...]:

@@ -29,9 +29,11 @@ L(mu) = min_d (mu . F[:, d]) / (mu . G[:, d]) is a lower bound however
 accurately the LP was solved.  The value is ln(lambda) at the best
 strategy found, and the certificate gap is that value minus ln L, in nats.
 
-Ratio terms where both coefficient vectors vanish (a zero column shared
-by the whole family, as conformance guarantees) carry no constraint and
-are dropped when the term set is built.
+Coefficients at or below ``ZERO_TOL`` are exact zeros in the term set,
+as in the conformance check, so the round ratios and the dual bound see
+one zero pattern.  Ratio terms where both coefficient vectors vanish (a
+zero column shared by the whole family, as conformance guarantees) carry
+no constraint and are dropped when the term set is built.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ from .core import (
     SolveReport,
     ValidationError,
     ZERO_TOL,
+    point_mass,
     uniform,
 )
-from .algebra import hidden_choice
-from .measures import dp_level
+from .algebra import _weights_vector
+from .measures import dp_levels, max_ratios
 from .qif import strategy_weights
 
 DEFAULT_TOLERANCE = 1e-9
@@ -67,33 +70,20 @@ def dp_utility_hidden(game: GameSpec, delta, alpha) -> float:
     the support of alpha of the level of the delta-mixed channel.
     """
     game.require_dp()
-    d = strategy_weights(delta, game.defender_actions)
+    n_d = len(game.defender_actions)
+    d = _weights_vector(strategy_weights(delta, game.defender_actions), n_d)
     a = strategy_weights(alpha, game.attacker_actions)
-    adjacency = game.measure.adjacency
-    best = 0.0
-    for idx, action in enumerate(game.attacker_actions):
-        if a[idx] <= 0:
-            continue
-        mixed = hidden_choice(d, game.channels_for_attack(action))
-        best = max(best, dp_level(mixed, adjacency))
-    return best
+    mixed = np.tensordot(d, game.matrices, axes=(0, 0))  # (a, x, y)
+    levels = dp_levels(mixed, game.measure.adjacency, game.inputs)
+    return float(levels[a > 0].max(initial=0.0))
 
 
 def dp_utility_visible(game: GameSpec, delta, alpha) -> float:
     """DP level (nats) when both choices are visible: max over the supports."""
-    game.require_dp()
+    levels = dp_levels(game.matrices, game.require_dp().adjacency, game.inputs)
     d = strategy_weights(delta, game.defender_actions)
     a = strategy_weights(alpha, game.attacker_actions)
-    adjacency = game.measure.adjacency
-    best = 0.0
-    for i, da in enumerate(game.defender_actions):
-        if d[i] <= 0:
-            continue
-        for j, aa in enumerate(game.attacker_actions):
-            if a[j] <= 0:
-                continue
-            best = max(best, dp_level(game.channel(da, aa), adjacency))
-    return best
+    return float(levels[np.ix_(d > 0, a > 0)].max(initial=0.0))
 
 
 def hidden_upper_bound(game: GameSpec, delta, alpha) -> float:
@@ -177,19 +167,19 @@ def build_ratio_terms(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Terms run over attacker actions, ordered adjacent input pairs (both
     directions, which makes the log-free ratio formulation capture the
-    symmetric maximum), and outputs.  Terms whose coefficient vectors are
-    all zero on both sides (a column the whole family zeroes out, as the
-    conforming zero pattern guarantees happens in lockstep) are dropped.
+    symmetric maximum), and outputs.  Coefficients at or below
+    ``ZERO_TOL`` are set to exact zeros, the zero rule of conformance, so
+    every later test of a term sees the same zero pattern.  Terms whose
+    coefficients are then all zero on both sides (a column the whole
+    family zeroes out, as the conforming zero pattern guarantees happens
+    in lockstep) are dropped.
     """
-    adjacency = game.require_dp().adjacency
-    pairs = np.array(list(adjacency.ordered_pairs(game.inputs)), dtype=int).reshape(-1, 2)
-    stack = np.stack(  # (a, d, x, y)
-        [[c.matrix for c in game.channels_for_attack(a)] for a in game.attacker_actions]
-    )
-    n_d = stack.shape[1]
-    f = stack[:, :, pairs[:, 0], :].transpose(0, 2, 3, 1).reshape(-1, n_d)
-    g = stack[:, :, pairs[:, 1], :].transpose(0, 2, 3, 1).reshape(-1, n_d)
-    live = (f.max(axis=1, initial=0.0) > ZERO_TOL) | (g.max(axis=1, initial=0.0) > ZERO_TOL)
+    i, j = game.require_dp().adjacency.index_pairs(game.inputs)
+    stack = np.where(game.matrices > ZERO_TOL, game.matrices, 0.0).transpose(1, 2, 3, 0)
+    # (a, x, y, d) -> rows (a, pair, y), one column per defender action
+    f = stack[:, i].reshape(-1, stack.shape[-1])
+    g = stack[:, j].reshape(-1, stack.shape[-1])
+    live = f.any(axis=1) | g.any(axis=1)
     return f[live], g[live]
 
 
@@ -313,24 +303,14 @@ def solve_dp_visible(game: GameSpec) -> SolveReport:
     Picks the action minimizing the worst per-profile DP level (lowest
     index on ties); the value is exact, so the certificate gap is zero.
     """
-    game.require_dp()
-    adjacency = game.measure.adjacency
-    levels = np.array(
-        [
-            [dp_level(game.channel(d, a), adjacency) for a in game.attacker_actions]
-            for d in game.defender_actions
-        ]
-    )
+    levels = dp_levels(game.matrices, game.require_dp().adjacency, game.inputs)  # (d, a)
     worst = levels.max(axis=1)
     d_idx = int(np.argmin(worst))
-    weights = np.zeros(len(game.defender_actions))
-    weights[d_idx] = 1.0
     return SolveReport(
-        defender_strategy=Distribution(game.defender_actions, weights),
+        defender_strategy=point_mass(game.defender_actions, game.defender_actions[d_idx]),
         value=float(worst[d_idx]),
         iterations=1,
         certificate_gap=0.0,
-        certified=True,
         attacker_strategy=uniform(game.attacker_actions),
         diagnostics={
             "method": "argmin-max",
@@ -348,35 +328,14 @@ class DpObjective:
     """
 
     def __init__(self, game: GameSpec):
-        adjacency = game.require_dp().adjacency
+        game.require_dp()
         self.game = game
-        inputs = game.inputs
-        pairs = list(adjacency.ordered_pairs(inputs))
-        self._rows_i = np.array([i for i, _ in pairs], dtype=int)
-        self._rows_j = np.array([j for _, j in pairs], dtype=int)
-        self._stacks = [
-            np.stack([c.matrix for c in game.channels_for_attack(a)])
-            for a in game.attacker_actions
-        ]
 
     def value_batch(self, deltas: np.ndarray) -> np.ndarray:
-        deltas = np.asarray(deltas, dtype=float)
-        if deltas.ndim == 1:
-            deltas = deltas[None, :]
-        if self._rows_i.size == 0:
-            return np.zeros(deltas.shape[0])
-        best = np.ones(deltas.shape[0])
-        for stack in self._stacks:
-            mixed = np.tensordot(deltas, stack, axes=(1, 0))  # (b, x, y)
-            num = mixed[:, self._rows_i, :]
-            den = mixed[:, self._rows_j, :]
-            num_zero = num <= ZERO_TOL
-            den_zero = den <= ZERO_TOL
-            ratio = np.divide(num, np.where(den_zero, 1.0, den))
-            ratio = np.where(num_zero & den_zero, 1.0, ratio)
-            ratio = np.where(~num_zero & den_zero, np.inf, ratio)
-            best = np.maximum(best, ratio.max(axis=(1, 2)))
-        return np.log(best)
+        deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
+        mixed = np.tensordot(deltas, self.game.matrices, axes=(1, 0))  # (b, a, x, y)
+        ratios = max_ratios(mixed, self.game.measure.adjacency, self.game.inputs)
+        return np.log(ratios.max(axis=1))
 
     def value(self, delta) -> float:
         return float(self.value_batch(np.asarray(delta, dtype=float))[0])

@@ -26,6 +26,7 @@ from .core import (
     NegativeEpsilon,
     ZERO_TOL,
     ZeroPriorVulnerability,
+    zero_mismatch,
 )
 
 #: Distinguished DP level of a non-conforming channel.
@@ -88,38 +89,44 @@ def leakage(
     raise ValueError(f"unknown leakage mode {mode!r}")
 
 
-def _adjacent_pairs(adj: AdjacencyRelation, labels) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (i, j) with i < j, one entry per adjacent input pair."""
-    pairs = [(i, j) for i, j in adj.ordered_pairs(labels) if i < j]
-    return np.array(pairs, dtype=int).reshape(-1, 2).T
-
-
 def is_conforming(channel: Channel, adj: AdjacencyRelation) -> bool:
     """True iff the zero pattern agrees across every adjacent input pair."""
-    i, j = _adjacent_pairs(adj, channel.inputs)
-    zero = channel.matrix <= ZERO_TOL
-    return not np.any(zero[i] != zero[j])
+    return not zero_mismatch(channel.matrix, *adj.index_pairs(channel.inputs)).any()
+
+
+def max_ratios(matrices: np.ndarray, adj: AdjacencyRelation, labels) -> np.ndarray:
+    """Largest C(x,y)/C(x',y) over adjacent pairs, per channel of a (..., x, y) stack.
+
+    At least 1.  Entries at or below ``ZERO_TOL`` count as exact zeros:
+    a ratio with both sides zero carries no constraint, and one with
+    exactly one side zero (non-conformance) makes the result ``inf``.
+    """
+    i, j = adj.index_pairs(labels)
+    i, j = i[i < j], j[i < j]
+    num, den = matrices[..., i, :], matrices[..., j, :]
+    live = (num > ZERO_TOL) & (den > ZERO_TOL)
+    ratio = np.divide(num, den, out=np.ones_like(num), where=live)
+    best = np.maximum(ratio, 1.0 / ratio).max(axis=(-2, -1), initial=1.0)
+    return np.where(zero_mismatch(matrices, i, j).any(axis=(-2, -1)), INFINITE, best)
+
+
+def dp_levels(matrices: np.ndarray, adj: AdjacencyRelation, labels) -> np.ndarray:
+    """``dp_level`` of every channel of a (..., x, y) stack, in nats.
+
+    Takes ``math.log`` per element: numpy's vector ``log`` can differ in
+    the last bit, and levels are compared with ``==`` across callers.
+    """
+    ratios = max_ratios(matrices, adj, labels)
+    return np.array([math.log(r) for r in ratios.ravel().tolist()]).reshape(ratios.shape)
 
 
 def dp_level(channel: Channel, adj: AdjacencyRelation) -> float:
     """Least epsilon (nats) at which the channel is differentially private.
 
-    Maximum of ln C(x,y)/C(x',y) over outputs and ordered adjacent pairs
-    with C(x,y) > 0.  Non-conformance yields ``math.inf``; an empty
-    adjacency relation yields 0.  Entries at or below ``ZERO_TOL`` count
-    as exact zeros, and ratios where both sides vanish are skipped (the
-    conforming zero pattern carries no constraint).
+    The log of its ``max_ratios``: ``math.inf`` when it does not conform,
+    0 under an empty adjacency relation.
     """
-    i, j = _adjacent_pairs(adj, channel.inputs)
-    m = channel.matrix
-    zero = m <= ZERO_TOL
-    if np.any(zero[i] != zero[j]):
-        return INFINITE
-    live = ~zero[i]
-    if not live.any():
-        return 0.0
-    ratios = m[i][live] / m[j][live]
-    return math.log(max(1.0, float(ratios.max()), float((1.0 / ratios).max())))
+    return float(dp_levels(channel.matrix, adj, channel.inputs))
 
 
 def check_dp(channel: Channel, adj: AdjacencyRelation, eps: float) -> bool:

@@ -98,21 +98,18 @@ class QifObjective:
 
     def __init__(self, game: GameSpec):
         measure = game.require_qif()
-        self.game = game
-        self.defender_actions = game.defender_actions
-        self.attacker_actions = game.attacker_actions
         weighted_gain = measure.gain.table * measure.prior.weights  # (w, x)
-        stacks = []
-        for a in game.attacker_actions:
-            per_d = np.stack(
-                [weighted_gain @ game.channel(d, a).matrix for d in game.defender_actions]
-            )
-            stacks.append(per_d)
-        self._s0 = np.stack(stacks)  # (a, d, w, y)
+        # (d, a, w, y), so the contraction over d needs no copy
+        self._by_defender = weighted_gain @ game.matrices
+        # C-contiguous: the certificate's einsum rounds differently on a view
+        self._s0 = np.ascontiguousarray(self._by_defender.transpose(1, 0, 2, 3))
+
+    def _scores(self, delta: np.ndarray) -> np.ndarray:
+        """S0 . delta, shape (..., a, w, y), for one strategy or a (batch, d) array."""
+        return np.tensordot(delta, self._by_defender, axes=(-1, 0))
 
     def per_action_values(self, delta: np.ndarray) -> np.ndarray:
-        scores = np.tensordot(delta, self._s0, axes=(0, 1))  # (a, w, y)
-        return scores.max(axis=1).sum(axis=1)
+        return self._scores(delta).max(axis=-2).sum(axis=-1)
 
     def value(self, delta: np.ndarray) -> tuple[float, int]:
         """f(delta) and the attacker action index attaining it (lowest wins ties)."""
@@ -122,13 +119,11 @@ class QifObjective:
 
     def value_batch(self, deltas: np.ndarray) -> np.ndarray:
         """f over a batch of strategies, shape (batch,)."""
-        scores = np.einsum("bd,adwy->bawy", deltas, self._s0)
-        return scores.max(axis=2).sum(axis=2).max(axis=1)
+        return self.per_action_values(deltas).max(axis=-1)
 
     def value_and_subgradient(self, delta: np.ndarray) -> tuple[float, np.ndarray]:
-        scores = np.tensordot(delta, self._s0, axes=(0, 1))
-        colmax = scores.max(axis=1)
-        values = colmax.sum(axis=1)
+        scores = self._scores(delta)
+        values = scores.max(axis=1).sum(axis=1)
         a_idx = int(np.argmax(values))
         w_star = np.argmax(scores[a_idx], axis=0)
         cols = np.arange(scores.shape[2])

@@ -5,29 +5,59 @@ import numpy as np
 from leakgames.core import AdjacencyRelation, channel_from_rows
 
 
-def sparse_channel(seed: int, dust: bool = False):
-    """A 2-8 x 2-8 channel and an all-pairs, chain or empty adjacency.
-
-    Some columns are zero in every row; half the channels also zero single
-    entries (mostly non-conforming).  With ``dust`` those entries are
-    5e-16, at or below ``ZERO_TOL``, instead of 0.
-    """
-    rng = np.random.default_rng(seed)
-    n, m = (int(k) for k in rng.integers(2, 9, size=2))
-    rows = rng.dirichlet(np.full(m, rng.choice([0.3, 1.0])), size=n)
+def _rows(rng, n: int, m: int, dust: bool, entries: bool = True) -> np.ndarray:
+    # floored, so no drawn entry is dust by accident
+    rows = np.maximum(rng.dirichlet(np.full(m, rng.choice([0.3, 1.0])), size=n), 1e-9)
     keep = int(rng.integers(m))  # never zeroed, so every row keeps mass
-    cols = rng.random(m) < 0.3
-    cols[keep] = False
-    rows[:, cols] = 0.0
-    if rng.random() < 0.5:
-        entries = rng.random((n, m)) < 0.15
-        entries[:, keep] = False
-        rows[entries] = 5e-16 if dust else 0.0
+    zero = np.zeros((n, m), dtype=bool)
+    zero[:, rng.random(m) < 0.3] = True
+    if entries and rng.random() < 0.5:
+        zero |= rng.random((n, m)) < 0.15
+    zero[:, keep] = False
+    rows[zero] = 0.0
     rows /= rows.sum(axis=1, keepdims=True)
-    inputs = [f"x{i}" for i in range(n)]
-    adjacency = [
+    if dust:  # after scaling, so dust stays below ZERO_TOL, and mixtures of it too
+        rows[zero] = rng.choice([1e-300, 1e-17, 5e-16], size=int(zero.sum()))
+    return rows
+
+
+def _adjacency(rng, inputs):
+    return [
         AdjacencyRelation.all_pairs(),
         AdjacencyRelation.explicit(zip(inputs, inputs[1:])),
         AdjacencyRelation.explicit([]),
     ][int(rng.integers(3))]
-    return channel_from_rows(inputs, [f"y{j}" for j in range(m)], rows), adjacency
+
+
+def sparse_channel(seed: int, dust: bool = False):
+    """A 2-8 x 2-8 channel and an all-pairs, chain or empty adjacency.
+
+    Some columns are zero in every row; half the channels also zero single
+    entries (mostly non-conforming).  With ``dust`` those columns and
+    entries are drawn from 1e-300 to 5e-16, below ``ZERO_TOL``, instead
+    of 0.
+    """
+    rng = np.random.default_rng(seed)
+    n, m = (int(k) for k in rng.integers(2, 9, size=2))
+    rows = _rows(rng, n, m, dust)
+    inputs = [f"x{i}" for i in range(n)]
+    return channel_from_rows(inputs, [f"y{j}" for j in range(m)], rows), _adjacency(rng, inputs)
+
+
+def sparse_game(seed: int, dust: bool = False, conforming: bool = False):
+    """A (d, a, x, y) stack of 1-3 x 1-3 sparse channels of one 2-6 x 2-6 type.
+
+    Returns the stack, the input labels (in shuffled order, so an explicit
+    chain's pairs sorted by label differ from index order), the output
+    labels and an all-pairs, chain or empty adjacency.  Each channel is
+    drawn as in ``sparse_channel``; with ``conforming`` no single entries
+    are zeroed, so every channel conforms to any adjacency.
+    """
+    rng = np.random.default_rng(seed)
+    n_d, n_a = (int(k) for k in rng.integers(1, 4, size=2))
+    n, m = (int(k) for k in rng.integers(2, 7, size=2))
+    stack = np.array(
+        [[_rows(rng, n, m, dust, not conforming) for _ in range(n_a)] for _ in range(n_d)]
+    )
+    inputs = [f"x{i}" for i in rng.permutation(n)]
+    return stack, inputs, [f"y{j}" for j in range(m)], _adjacency(rng, inputs)

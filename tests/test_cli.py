@@ -3,6 +3,10 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,6 +252,33 @@ def test_build_crowds_from_config(tmp_path, capsys):
     doc = json.loads(out.out)
     assert doc["measure"]["kind"] == "qif"
     assert doc["inputs"] == ["n1", "n2"]
+
+
+def test_closed_pipe_exits_without_traceback(tmp_path):
+    # the 30-node MANET document (about 450 kB) overflows the pipe buffer, so
+    # the build is still writing when the reader goes away
+    config = manet_config()
+    cfg = {
+        "nodes": list(config.nodes),
+        "edges": [list(e) for e in config.edges],
+        "forward_prob": config.forward_prob,
+        "attacker_sites": {k: list(v) for k, v in config.attacker_sites.items()},
+        "defender_sites": {k: list(v) for k, v in config.defender_sites.items()},
+    }
+    path = tmp_path / "crowds.json"
+    path.write_text(json.dumps(cfg))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leakgames", "build", "crowds", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 3
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
 def test_build_ldp_custom_tables(tmp_path, capsys):

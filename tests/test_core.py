@@ -21,12 +21,14 @@ from leakgames.core import (
     QifMeasure,
     SolveReport,
     ValidationError,
+    ZERO_TOL,
     align_outputs,
     bayes_gain,
     channel_from_rows,
     point_mass,
     uniform,
 )
+from sparse_channels import sparse_game
 
 
 def test_identity_channel_is_valid():
@@ -237,6 +239,49 @@ def test_gamespec_rejects_nonconforming_dp_family():
 def test_gamespec_accepts_conforming_dp_family():
     game = _tiny_game(DpMeasure(AdjacencyRelation.all_pairs()))
     assert game.is_dp()
+
+
+def _loop_conformance_violation(channel, adj):
+    """First zero-pattern disagreement on an adjacent pair, or None.
+
+    The channel-by-channel check ``GameSpec`` once ran, kept as an oracle.
+    """
+    zero = channel.matrix <= ZERO_TOL
+    for i, j in adj.ordered_pairs(channel.inputs):
+        if i > j:
+            continue  # pattern check is symmetric
+        bad = np.nonzero(zero[i] != zero[j])[0]
+        if bad.size:
+            return channel.inputs[i], channel.inputs[j], channel.outputs[int(bad[0])]
+    return None
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_gamespec_nonconforming_message_matches_loop(seed, dust):
+    stack, inputs, outputs, adj = sparse_game(seed, dust)
+    d_actions = [f"d{k}" for k in range(stack.shape[0])]
+    a_actions = [f"a{k}" for k in range(stack.shape[1])]
+    chans = {
+        (d, a): channel_from_rows(inputs, outputs, stack[k, l])
+        for k, d in enumerate(d_actions)
+        for l, a in enumerate(a_actions)
+    }
+    expected = None
+    for p, c in chans.items():
+        hit = _loop_conformance_violation(c, adj)
+        if hit is not None:
+            expected = (
+                f"channel for profile {p} breaks the zero-pattern condition at "
+                f"inputs ({hit[0]!r}, {hit[1]!r}), output {hit[2]!r}"
+            )
+            break
+    if expected is None:
+        assert GameSpec(d_actions, a_actions, chans, DpMeasure(adj)).is_dp()
+    else:
+        with pytest.raises(NonConforming) as err:
+            GameSpec(d_actions, a_actions, chans, DpMeasure(adj))
+        assert str(err.value) == expected
 
 
 def test_gamespec_rejects_prior_label_mismatch():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,8 @@ from leakgames.dp import (
 )
 from leakgames.measures import dp_level
 from leakgames.scenarios import build_dp_example
-from leakgames.audits import simplex_grid
+from leakgames.audits import audit_game, simplex_grid
+from sparse_channels import sparse_game
 
 
 def _random_dp_game(rng, n_d=2, n_a=2, n_x=2, n_y=3):
@@ -51,6 +53,19 @@ def _random_dp_game(rng, n_d=2, n_a=2, n_x=2, n_y=3):
         chans,
         DpMeasure(AdjacencyRelation.all_pairs()),
     )
+
+
+def _sparse_dp_game(seed, dust):
+    """A conforming game of sparse channels from ``sparse_game``."""
+    stack, inputs, outputs, adj = sparse_game(seed, dust, conforming=True)
+    d_actions = tuple(f"d{k}" for k in range(stack.shape[0]))
+    a_actions = tuple(f"a{k}" for k in range(stack.shape[1]))
+    chans = {
+        (d, a): channel_from_rows(inputs, outputs, stack[k, l])
+        for k, d in enumerate(d_actions)
+        for l, a in enumerate(a_actions)
+    }
+    return GameSpec(d_actions, a_actions, chans, DpMeasure(adj))
 
 
 # -- utilities -----------------------------------------------------------------
@@ -255,6 +270,23 @@ def test_sparse_stall_certified_in_few_rounds():
     assert rep.diagnostics["best_lower_bound"] <= rep.value
 
 
+def test_dust_entries_give_a_sound_certificate():
+    # entries at or below ZERO_TOL facing exact zeros: the dual bound once
+    # treated a 1e-15 term as live while the round ratios did not, and
+    # proved 1.1098 nats, above the optimum 0.0926
+    doc = json.loads((Path(__file__).parent / "data" / "dp_dust_unsound.json").read_text())
+    game = jsonio.game_from_dict(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hidden = solve_dp_hidden(game)
+        visible = solve_dp_visible(game)
+        audit = audit_game(game)
+    bound = hidden.diagnostics["best_lower_bound"]
+    assert hidden.certified and bound <= hidden.value
+    assert bound <= visible.value
+    assert audit["ok"], audit["violations"]
+
+
 def test_round_budget_exhausted_is_uncertified(tmp_path, capsys):
     rep = solve_dp_hidden(build_dp_example(), max_iter=1)
     assert not rep.certified and rep.iterations == 1
@@ -310,6 +342,27 @@ def test_solve_visible_rejects_qif():
 
     with pytest.raises(MeasureMismatch):
         solve_dp_visible(build_binary_sum())
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_visible_pure_levels_are_dp_levels(seed, dust):
+    g = _sparse_dp_game(seed, dust)
+    expected = [
+        [dp_level(g.channel(d, a), g.measure.adjacency) for a in g.attacker_actions]
+        for d in g.defender_actions
+    ]
+    assert solve_dp_visible(g).diagnostics["pure_levels"] == expected
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_objective_batch_matches_hidden_utility(seed, dust):
+    g = _sparse_dp_game(seed, dust)
+    n_d = len(g.defender_actions)
+    deltas = np.vstack([np.eye(n_d), np.random.default_rng(seed).dirichlet(np.ones(n_d), 6)])
+    expected = [dp_utility_hidden(g, delta, uniform(g.attacker_actions)) for delta in deltas]
+    np.testing.assert_allclose(DpObjective(g).value_batch(deltas), expected, rtol=0, atol=1e-12)
 
 
 @given(st.integers(0, 10**6))

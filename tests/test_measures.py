@@ -24,13 +24,14 @@ from leakgames.measures import (
     bayes_posterior,
     check_dp,
     dp_level,
+    dp_levels,
     is_conforming,
     leakage,
     posterior_vulnerability,
     prior_vulnerability,
 )
 from leakgames.scenarios import randomized_response
-from sparse_channels import sparse_channel
+from sparse_channels import sparse_channel, sparse_game
 
 XY = (["0", "1"], ["T", "F"])
 ALL = AdjacencyRelation.all_pairs()
@@ -221,6 +222,17 @@ def test_dp_level_matches_pairwise_loop(seed, dust):
     channel, adj = sparse_channel(seed, dust)
     assert dp_level(channel, adj) == _loop_dp_level(channel, adj)
     assert is_conforming(channel, adj) == (_loop_dp_level(channel, adj) != INFINITE)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=50, deadline=None)
+def test_dp_levels_match_pairwise_loop_per_channel(seed, dust):
+    stack, inputs, outputs, adj = sparse_game(seed, dust)
+    levels = dp_levels(stack, adj, inputs)
+    assert levels.shape == stack.shape[:2]
+    for d, a in np.ndindex(*levels.shape):
+        channel = channel_from_rows(inputs, outputs, stack[d, a])
+        assert levels[d, a] == _loop_dp_level(channel, adj)
 
 
 def test_check_dp_examples():
