@@ -34,9 +34,9 @@ from .core import (
     uniform,
 )
 from .algebra import hidden_choice
-from .measures import INFINITE, bayes_posterior, check_dp, dp_level, dp_levels
+from .measures import INFINITE, bayes_posterior, check_dp, dp_level
 from .qif import QifObjective
-from .dp import DpObjective, solve_dp_hidden, solve_dp_visible
+from .dp import DpObjective, hidden_levels, solve_dp_hidden, solve_dp_visible
 
 MAX_ORACLE_ACTIONS = 4
 
@@ -368,7 +368,6 @@ def audit_game(game: GameSpec, seed: int = 0, n_priors: int = 50) -> dict:
             ok = ok and lhs <= rhs + 1e-9
         record("objective_convexity", ok)
     else:
-        adjacency = game.measure.adjacency
         visible_report = solve_dp_visible(game)
         levels = np.array(visible_report.diagnostics["pure_levels"])  # (d, a)
         keys = (f"{d}|{a}" for d in game.defender_actions for a in game.attacker_actions)
@@ -379,8 +378,7 @@ def audit_game(game: GameSpec, seed: int = 0, n_priors: int = 50) -> dict:
         for _ in range(25):
             delta = rng.dirichlet(np.ones(n_d))
             alpha = rng.dirichlet(np.ones(n_a))
-            mixed_stack = np.tensordot(delta, game.matrices, axes=(0, 0))  # (a, x, y)
-            mixed = dp_levels(mixed_stack, adjacency, game.inputs)
+            mixed = hidden_levels(game, delta)
             hidden = mixed[alpha > 0].max(initial=0.0)
             bound = levels[np.ix_(delta > 0, alpha > 0)].max(initial=0.0)
             ok_b = ok_b and hidden <= bound + 1e-9
@@ -400,6 +398,7 @@ def audit_game(game: GameSpec, seed: int = 0, n_priors: int = 50) -> dict:
         result["visible_value"] = visible_report.value
 
         priors = random_priors(game.inputs, n_priors, seed)
+        adjacency = game.measure.adjacency
         ok = True
         worst_slack = -math.inf
         for a in game.attacker_actions:

@@ -540,10 +540,8 @@ class GameSpec:
     @functools.cached_property
     def matrices(self) -> np.ndarray:
         """Read-only (defender action, attacker action, x, y) stack of the channels."""
-        stack = np.array(
-            [[self.channels[(d, a)].matrix for a in self.attacker_actions]
-             for d in self.defender_actions]
-        )
+        stack = np.array([c.matrix for c in self.channels.values()])  # profile order
+        stack = stack.reshape(len(self.defender_actions), -1, *stack.shape[1:])
         stack.setflags(write=False)
         return stack
 

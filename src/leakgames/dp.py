@@ -56,11 +56,22 @@ from .core import (
     uniform,
 )
 from .algebra import _weights_vector
-from .measures import dp_levels, max_ratios
+from .measures import dp_levels
 from .qif import strategy_weights
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_ITER = 1000
+
+
+def hidden_levels(game: GameSpec, deltas) -> np.ndarray:
+    """Levels (nats) of the delta-mixed channels, (..., a) for delta (..., d).
+
+    Summed one defender action at a time, so a strategy gets the same bits
+    alone or in a batch, on the same side of ``ZERO_TOL`` for every caller.
+    """
+    weights = np.moveaxis(np.asarray(deltas, dtype=float), -1, 0)[..., None, None, None]
+    mixed = sum(w * m for w, m in zip(weights, game.matrices))  # (..., a, x, y)
+    return dp_levels(mixed, game.require_dp().adjacency, game.inputs)
 
 
 def dp_utility_hidden(game: GameSpec, delta, alpha) -> float:
@@ -69,13 +80,10 @@ def dp_utility_hidden(game: GameSpec, delta, alpha) -> float:
     The visible choice over attacker actions collapses to a maximum over
     the support of alpha of the level of the delta-mixed channel.
     """
-    game.require_dp()
     n_d = len(game.defender_actions)
     d = _weights_vector(strategy_weights(delta, game.defender_actions), n_d)
     a = strategy_weights(alpha, game.attacker_actions)
-    mixed = np.tensordot(d, game.matrices, axes=(0, 0))  # (a, x, y)
-    levels = dp_levels(mixed, game.measure.adjacency, game.inputs)
-    return float(levels[a > 0].max(initial=0.0))
+    return float(hidden_levels(game, d)[a > 0].max(initial=0.0))
 
 
 def dp_utility_visible(game: GameSpec, delta, alpha) -> float:
@@ -332,10 +340,7 @@ class DpObjective:
         self.game = game
 
     def value_batch(self, deltas: np.ndarray) -> np.ndarray:
-        deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
-        mixed = np.tensordot(deltas, self.game.matrices, axes=(1, 0))  # (b, a, x, y)
-        ratios = max_ratios(mixed, self.game.measure.adjacency, self.game.inputs)
-        return np.log(ratios.max(axis=1))
+        return hidden_levels(self.game, np.atleast_2d(deltas)).max(axis=1)
 
     def value(self, delta) -> float:
         return float(self.value_batch(np.asarray(delta, dtype=float))[0])

@@ -99,14 +99,13 @@ class QifObjective:
     def __init__(self, game: GameSpec):
         measure = game.require_qif()
         weighted_gain = measure.gain.table * measure.prior.weights  # (w, x)
-        # (d, a, w, y), so the contraction over d needs no copy
-        self._by_defender = weighted_gain @ game.matrices
         # C-contiguous: the certificate's einsum rounds differently on a view
-        self._s0 = np.ascontiguousarray(self._by_defender.transpose(1, 0, 2, 3))
+        self._s0 = np.ascontiguousarray((weighted_gain @ game.matrices).transpose(1, 0, 2, 3))
 
     def _scores(self, delta: np.ndarray) -> np.ndarray:
         """S0 . delta, shape (..., a, w, y), for one strategy or a (batch, d) array."""
-        return np.tensordot(delta, self._by_defender, axes=(-1, 0))
+        flat = delta @ self._s0.reshape(*self._s0.shape[:2], -1)  # (a, ..., w*y), S0 not copied
+        return np.moveaxis(flat, 0, -2).reshape(*np.shape(delta)[:-1], -1, *self._s0.shape[2:])
 
     def per_action_values(self, delta: np.ndarray) -> np.ndarray:
         return self._scores(delta).max(axis=-2).sum(axis=-1)
@@ -126,8 +125,7 @@ class QifObjective:
         values = scores.max(axis=1).sum(axis=1)
         a_idx = int(np.argmax(values))
         w_star = np.argmax(scores[a_idx], axis=0)
-        cols = np.arange(scores.shape[2])
-        h = self._s0[a_idx][:, w_star, cols].sum(axis=1)
+        h = self._s0[a_idx][:, w_star, np.arange(w_star.size)].sum(axis=1)
         return float(values[a_idx]), h
 
 

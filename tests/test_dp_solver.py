@@ -362,7 +362,18 @@ def test_objective_batch_matches_hidden_utility(seed, dust):
     n_d = len(g.defender_actions)
     deltas = np.vstack([np.eye(n_d), np.random.default_rng(seed).dirichlet(np.ones(n_d), 6)])
     expected = [dp_utility_hidden(g, delta, uniform(g.attacker_actions)) for delta in deltas]
-    np.testing.assert_allclose(DpObjective(g).value_batch(deltas), expected, rtol=0, atol=1e-12)
+    assert DpObjective(g).value_batch(deltas).tolist() == expected
+
+
+def test_boundary_entries_mix_alike_alone_and_in_a_batch():
+    # 1e-15 is a zero; mixed, it lands just above or at ZERO_TOL by summation order
+    rows = [[1e-15, 0.4, 0.6 - 1e-15], [0.0, 0.7, 0.3]]
+    c = channel_from_rows(["x0", "x1"], ["y0", "y1", "y2"], rows)
+    chans = {(d, a): c for d in ("d0", "d1") for a in ("a0", "a1")}
+    g = GameSpec(("d0", "d1"), ("a0", "a1"), chans, DpMeasure(AdjacencyRelation.all_pairs()))
+    deltas = np.random.default_rng(0).dirichlet([1, 1], 200)
+    expected = [dp_utility_hidden(g, delta, uniform(g.attacker_actions)) for delta in deltas]
+    assert DpObjective(g).value_batch(deltas).tolist() == expected
 
 
 @given(st.integers(0, 10**6))
