@@ -27,25 +27,15 @@ from .core import (
     Distribution,
     InputMismatch,
     LabeledMatrix,
-    NonStochastic,
     ShapeMismatch,
-    STOCHASTIC_TOL,
     WeightCountMismatch,
 )
 
 
 def _weights_vector(weights, n: int) -> np.ndarray:
-    if isinstance(weights, Distribution):
-        w = np.asarray(weights.weights, dtype=float)
-    else:
-        w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise WeightCountMismatch(f"{n} channels but weight vector of shape {w.shape}")
-    if np.any(w < -STOCHASTIC_TOL):
-        raise NonStochastic(f"negative mixing weight {w.min()!r}")
-    if abs(w.sum() - 1.0) > STOCHASTIC_TOL:
-        raise NonStochastic(f"mixing weights sum to {w.sum()!r}, not 1")
-    return w
+    """Mixing weights of n channels, validated as a Distribution over "0".."n-1"."""
+    w = weights.weights if isinstance(weights, Distribution) else weights
+    return Distribution(tuple(str(i) for i in range(n)), w).weights
 
 
 def tag_output(label: str, index: int) -> str:

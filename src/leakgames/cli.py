@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    solve qif <game.json> [--tolerance T] [--max-iter N]
+    solve qif <game.json> [--tolerance T] [--max-iter N]    (hidden choice only)
     solve dp <game.json> --mode hidden|visible [--tolerance T] [--max-iter N]
     measure dp-level <channel.json> --adjacency all-pairs|<pairs.json>
     measure vulnerability <channel.json> --prior <p.json> --gain bayes|<g.json>
@@ -86,6 +86,8 @@ def _report_rows(report: SolveReport) -> list[tuple[str, object]]:
 
 
 def _cmd_solve(args) -> int:
+    if args.kind == "qif" and args.mode != "hidden":
+        raise ValidationError(f"solve qif solves hidden choice only, not --mode {args.mode}")
     game = jsonio.game_from_dict(_read_json(args.game))
     if args.kind == "qif":
         report = qif.solve_qif(game, tolerance=args.tolerance, max_iter=args.max_iter)
@@ -234,9 +236,6 @@ def run(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except LeakGameError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -244,9 +244,9 @@ class Distribution:
         if not np.all(np.isfinite(w)):
             raise NonFiniteEntry(f"non-finite weight in {w.tolist()!r}")
         if np.any(w < -STOCHASTIC_TOL):
-            raise NegativeEntry(f"negative weight {w.min()!r}")
+            raise NegativeEntry(f"negative weight {float(w.min())!r}")
         if abs(w.sum() - 1.0) > STOCHASTIC_TOL:
-            raise NonStochastic(f"weights sum to {w.sum()!r}, not 1")
+            raise NonStochastic(f"weights sum to {float(w.sum())!r}, not 1")
         w = np.array(w, dtype=float)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -382,13 +382,6 @@ class AdjacencyRelation:
         """Index arrays (i, j) of ``ordered_pairs``, in the same order."""
         pairs = np.array(list(self.ordered_pairs(labels)), dtype=int).reshape(-1, 2)
         return pairs[:, 0], pairs[:, 1]
-
-    def adjacent(self, x: str, y: str) -> bool:
-        if x == y:
-            return False
-        if self.mode == "all-pairs":
-            return True
-        return frozenset((x, y)) in self.pairs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, AdjacencyRelation):

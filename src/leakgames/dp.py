@@ -42,12 +42,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .core import (
     Distribution,
     GameSpec,
-    Infeasible,
     NumericalFailure,
     SolveReport,
     ValidationError,
@@ -55,9 +53,8 @@ from .core import (
     point_mass,
     uniform,
 )
-from .algebra import _weights_vector
 from .measures import dp_levels
-from .qif import strategy_weights
+from .qif import epigraph_lp, strategy_weights
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_ITER = 1000
@@ -80,8 +77,7 @@ def dp_utility_hidden(game: GameSpec, delta, alpha) -> float:
     The visible choice over attacker actions collapses to a maximum over
     the support of alpha of the level of the delta-mixed channel.
     """
-    n_d = len(game.defender_actions)
-    d = _weights_vector(strategy_weights(delta, game.defender_actions), n_d)
+    d = strategy_weights(delta, game.defender_actions)
     a = strategy_weights(alpha, game.attacker_actions)
     return float(hidden_levels(game, d)[a > 0].max(initial=0.0))
 
@@ -94,9 +90,8 @@ def dp_utility_visible(game: GameSpec, delta, alpha) -> float:
     return float(levels[np.ix_(d > 0, a > 0)].max(initial=0.0))
 
 
-def hidden_upper_bound(game: GameSpec, delta, alpha) -> float:
-    """Worst pure-profile DP level over the supports; bounds the hidden utility."""
-    return dp_utility_visible(game, delta, alpha)
+# the worst pure-profile level over the supports bounds the hidden utility
+hidden_upper_bound = dp_utility_visible
 
 
 @dataclass(frozen=True)
@@ -131,31 +126,11 @@ def _epigraph(coeff: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
 
     Returns delta, the LP's t and the row duals (non-negative, summing to one).
     """
-    n_terms, n_d = coeff.shape
-    if n_terms == 0:
+    if coeff.shape[0] == 0:
         raise ValidationError("linear program has no ratio terms")
-    c = np.zeros(n_d + 1)
-    c[-1] = 1.0
-    a_eq = np.ones((1, n_d + 1))
-    a_eq[0, -1] = 0.0
-    res = linprog(
-        c,
-        A_ub=np.hstack([coeff, -np.ones((n_terms, 1))]),
-        b_ub=np.zeros(n_terms),
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * n_d + [(None, None)],
-        method="highs",
-    )
-    if res.status == 2:
-        raise Infeasible("epigraph program reported infeasible (internal error)")
-    if not res.success:
-        raise NumericalFailure(f"linear program failed: {res.message}")
-    delta = np.clip(res.x[:n_d], 0.0, None)
-    total = delta.sum()
-    if not math.isfinite(total) or total <= 0:
-        raise NumericalFailure("linear program returned a degenerate strategy")
-    return delta / total, float(res.x[-1]), np.clip(-res.ineqlin.marginals, 0.0, None)
+    t_column = -np.ones((coeff.shape[0], 1))
+    delta, duals, res = epigraph_lp(np.hstack([coeff, t_column]), coeff.shape[1])
+    return delta, float(res.x[-1]), duals
 
 
 def solve_lp(problem: LpProblem) -> tuple[np.ndarray, float]:

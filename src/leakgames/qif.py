@@ -41,11 +41,11 @@ from scipy.optimize import linprog
 from .core import (
     Distribution,
     GameSpec,
+    Infeasible,
     LabelMismatch,
     NumericalFailure,
     SolveReport,
     ValidationError,
-    WeightCountMismatch,
 )
 from .measures import prior_vulnerability
 
@@ -73,19 +73,49 @@ def project_simplex(v) -> np.ndarray:
 
 
 def strategy_weights(delta, labels: tuple[str, ...]) -> np.ndarray:
-    """Coerce a strategy (Distribution or weight sequence) to a weight vector."""
+    """Weights of a strategy over ``labels``; a sequence is validated as a Distribution."""
     if isinstance(delta, Distribution):
         if delta.labels != labels:
             raise LabelMismatch(
                 f"strategy labels {delta.labels} do not match actions {labels}"
             )
-        return np.asarray(delta.weights, dtype=float)
-    w = np.asarray(delta, dtype=float)
-    if w.shape != (len(labels),):
-        raise WeightCountMismatch(
-            f"{len(labels)} actions but strategy of shape {w.shape}"
-        )
-    return w
+        return delta.weights
+    return Distribution(labels, delta).weights
+
+
+def epigraph_lp(a_ub, n_d: int, lower=(), max_iter: int | None = None):
+    """Minimize t subject to a_ub . (delta, extra, t) <= 0, delta on the simplex.
+
+    The extra columns are bounded below by ``lower`` (-inf for free), t is
+    free.  Returns delta (clipped and renormalized), the row duals clipped
+    at zero and the scipy result; delta and the duals are None when the
+    HiGHS iteration limit ``max_iter`` stopped the solve.
+    """
+    n_vars = a_ub.shape[1]
+    cost = np.zeros(n_vars)
+    cost[-1] = 1.0
+    bounds = np.concatenate([np.zeros(n_d), np.asarray(lower, dtype=float), [-np.inf]])
+    res = linprog(
+        cost,
+        A_ub=a_ub,
+        b_ub=np.zeros(a_ub.shape[0]),
+        A_eq=(np.arange(n_vars) < n_d)[None, :].astype(float),
+        b_eq=[1.0],
+        bounds=np.column_stack([bounds, np.full(n_vars, np.inf)]),
+        method="highs",
+        options={} if max_iter is None else {"maxiter": max_iter},
+    )
+    if res.status == 1 and max_iter is not None:
+        return None, None, res
+    if res.status == 2:
+        raise Infeasible("epigraph program reported infeasible (internal error)")
+    if not res.success:
+        raise NumericalFailure(f"epigraph program failed: {res.message}")
+    delta = np.clip(res.x[:n_d], 0.0, None)
+    total = delta.sum()
+    if not (np.isfinite(total) and total > 0):
+        raise NumericalFailure("epigraph program returned a degenerate strategy")
+    return delta / total, np.clip(-res.ineqlin.marginals, 0.0, None), res
 
 
 class QifObjective:
@@ -161,14 +191,14 @@ def subgradient(game: GameSpec, delta) -> np.ndarray:
     return obj.value_and_subgradient(d)[1]
 
 
-def _certificate(s0: np.ndarray, res, live: np.ndarray, has_zero_row: np.ndarray):
+def _certificate(s0: np.ndarray, res, duals: np.ndarray, live: np.ndarray, has_zero_row):
     """Dual attacker strategy and the lower bound it proves (module docstring)."""
     n_a, n_d, n_w, n_y = s0.shape
-    alpha = np.clip(-res.ineqlin.marginals[live.size:], 0.0, None)
+    alpha = duals[live.size:]
     if not alpha.sum() > 0:
         raise NumericalFailure("epigraph program returned no attacker strategy")
     mass = np.zeros((n_a, n_w, n_y))
-    np.put(mass, live, np.clip(-res.ineqlin.marginals[: live.size], 0.0, None))
+    np.put(mass, live, duals[: live.size])
     # the multiplier of a bound z[a, y] >= 0 is the weight of the all-zero
     # rows it stands for: it adds nothing to L but counts in beta's total
     on_zero = np.clip(res.lower.marginals[n_d:-1], 0.0, None) * has_zero_row
@@ -229,30 +259,15 @@ def solve_qif(
         [c, n_d + a_idx * n_y + y_idx, np.arange(n_d, n_vars - 1), np.full(n_a, n_vars - 1)]
     )
     a_ub = sparse.csr_array((vals, (rows, cols)), shape=(live.size + n_a, n_vars))
-    lower = np.concatenate([np.zeros(n_d), np.where(has_zero_row, 0.0, -np.inf), [-np.inf]])
-    cost = np.zeros(n_vars)
-    cost[-1] = 1.0
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=np.zeros(a_ub.shape[0]),
-        A_eq=(np.arange(n_vars) < n_d)[None, :].astype(float),
-        b_eq=[1.0],
-        bounds=np.column_stack([lower, np.full(n_vars, np.inf)]),
-        method="highs",
-        options={"maxiter": max_iter},
+    delta, duals, res = epigraph_lp(
+        a_ub, n_d, np.where(has_zero_row, 0.0, -np.inf), max_iter=max_iter
     )
-
     alpha = None
-    if res.status == 1:  # iteration limit
+    if delta is None:  # iteration limit
         delta = np.full(n_d, 1.0 / n_d)
         bound = prior_vulnerability(game.measure.gain, game.measure.prior)
-    elif not res.success:
-        raise NumericalFailure(f"epigraph program failed: {res.message}")
     else:
-        delta = np.clip(res.x[:n_d], 0.0, None)
-        delta /= delta.sum()
-        alpha, bound = _certificate(s0, res, live, has_zero_row)
+        alpha, bound = _certificate(s0, res, duals, live, has_zero_row)
     value, _ = obj.value(delta)
     gap = max(value - bound, 0.0)
     return SolveReport(

@@ -1,12 +1,15 @@
 """Brute-force oracles, Bayesian DP bounds, and the independence witness."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leakgames import audits, jsonio
 from leakgames.audits import (
     audit_game,
     brute_force_dp_hidden,
@@ -20,6 +23,7 @@ from leakgames.audits import (
 from leakgames.core import (
     AdjacencyRelation,
     Distribution,
+    DpMeasure,
     GameSpec,
     NonConforming,
     ParameterOutOfRange,
@@ -92,8 +96,15 @@ def test_brute_force_rejects_large_games():
         {(d, "a"): c for d in acts},
         QifMeasure(uniform(inputs), bayes_gain(inputs)),
     )
+    dp_game = GameSpec(acts, ("a",), {(d, "a"): c for d in acts}, DpMeasure(ALL))
     with pytest.raises(TooManyActions):
         brute_force_qif(g, 0.1)
+    with pytest.raises(TooManyActions):
+        brute_force_dp_hidden(dp_game, 0.1)
+    for oracle, game in ((brute_force_qif, build_two_millionaires()),
+                         (brute_force_dp_hidden, build_dp_example())):
+        with pytest.raises(ValidationError, match="grid step"):
+            oracle(game, 0.2)
 
 
 def test_brute_force_dp_example():
@@ -105,8 +116,6 @@ def test_brute_force_dp_example():
 def test_brute_force_dp_flat_game():
     inputs = ["x0", "x1"]
     c = channel_from_rows(inputs, ["y0", "y1"], [[0.7, 0.3], [0.4, 0.6]])
-    from leakgames.core import DpMeasure
-
     g = GameSpec(
         ("0", "1"),
         ("a",),
@@ -350,3 +359,30 @@ def test_audit_game_dp():
     assert result["ok"]
     assert result["checks"]["visible_geq_hidden"]
     assert result["checks"]["bayes_hypothesis_bound"]
+
+
+def _data_game(name):
+    doc = json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+    return jsonio.game_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [build_dp_example, build_ldp_game, lambda: _data_game("dp_sparse_stall"),
+     lambda: _data_game("dp_dust_unsound")],
+    ids=["dp-example", "ldp", "dp_sparse_stall", "dp_dust_unsound"],
+)
+def test_hidden_lower_bound_check_flags_a_raised_bound(make, monkeypatch):
+    game = make()
+    assert audit_game(game, n_priors=2)["checks"]["hidden_lower_bound_sound"]
+    solve = audits.solve_dp_hidden
+
+    def raised_bound(g):
+        report = solve(g)
+        report.diagnostics["best_lower_bound"] += 1e-6
+        return report
+
+    monkeypatch.setattr(audits, "solve_dp_hidden", raised_bound)
+    result = audit_game(game, n_priors=2)
+    assert not result["checks"]["hidden_lower_bound_sound"]
+    assert not result["ok"]

@@ -150,6 +150,17 @@ def test_build_then_solve_dp_visible_pipe(capsys, monkeypatch):
     assert abs(report["value"] - 1.95) <= 5e-3
 
 
+def test_solve_qif_rejects_visible_mode(tmp_path, capsys):
+    # QIF is solved for hidden choice only; visible choice on binary-sum is
+    # worth 1.0, so printing the hidden value 0.5 would be a wrong answer
+    path = tmp_path / "game.json"
+    path.write_text(canonical_dumps(game_to_dict(build_binary_sum())))
+    code, out = _run(capsys, ["solve", "qif", str(path), "--mode", "visible"])
+    assert code == 1
+    assert out.out == ""
+    assert "--mode visible" in out.err
+
+
 def test_solve_dp_hidden_from_file(tmp_path, capsys):
     path = tmp_path / "game.json"
     path.write_text(canonical_dumps(game_to_dict(build_dp_example())))

@@ -21,6 +21,7 @@ from leakgames.core import (
     QifMeasure,
     SolveReport,
     ValidationError,
+    WeightCountMismatch,
     ZERO_TOL,
     align_outputs,
     bayes_gain,
@@ -28,6 +29,15 @@ from leakgames.core import (
     point_mass,
     uniform,
 )
+from leakgames.algebra import hidden_choice, visible_choice
+from leakgames.dp import dp_utility_hidden, dp_utility_visible, hidden_upper_bound
+from leakgames.qif import (
+    attacker_best_response,
+    qif_utility,
+    subgradient,
+    worst_case_vulnerability,
+)
+from leakgames.scenarios import build_dp_example, build_two_millionaires
 from sparse_channels import sparse_game
 
 
@@ -304,3 +314,43 @@ def test_solve_report_rejects_negative_gap():
             iterations=1,
             certificate_gap=-1.0,
         )
+
+
+# -- strategies at the public boundary ----------------------------------------------
+
+QIF_GAME = build_two_millionaires()
+DP_GAME = build_dp_example()
+HALF = [0.5, 0.5]
+MIXES = DP_GAME.channels_for_attack("0")
+
+# each public utility that takes a strategy, with the bad strategy in one slot
+STRATEGY_SLOTS = {
+    "qif_utility delta": lambda w: qif_utility(QIF_GAME, w, HALF),
+    "qif_utility alpha": lambda w: qif_utility(QIF_GAME, HALF, w),
+    "worst_case_vulnerability delta": lambda w: worst_case_vulnerability(QIF_GAME, w),
+    "attacker_best_response delta": lambda w: attacker_best_response(QIF_GAME, w),
+    "subgradient delta": lambda w: subgradient(QIF_GAME, w),
+    "dp_utility_hidden delta": lambda w: dp_utility_hidden(DP_GAME, w, HALF),
+    "dp_utility_hidden alpha": lambda w: dp_utility_hidden(DP_GAME, HALF, w),
+    "dp_utility_visible delta": lambda w: dp_utility_visible(DP_GAME, w, HALF),
+    "dp_utility_visible alpha": lambda w: dp_utility_visible(DP_GAME, HALF, w),
+    "hidden_upper_bound delta": lambda w: hidden_upper_bound(DP_GAME, w, HALF),
+    "hidden_upper_bound alpha": lambda w: hidden_upper_bound(DP_GAME, HALF, w),
+    "hidden_choice weights": lambda w: hidden_choice(w, MIXES),
+    "visible_choice weights": lambda w: visible_choice(w, MIXES),
+}
+BAD_STRATEGIES = {
+    "negative": ([2.0, -1.0], NegativeEntry),
+    "nan": ([float("nan"), 1.0], NonFiniteEntry),
+    "short sum": ([0.3, 0.3], NonStochastic),
+    "wrong length": ([1 / 3] * 3, WeightCountMismatch),
+}
+
+
+@pytest.mark.parametrize("slot", STRATEGY_SLOTS)
+@pytest.mark.parametrize("bad", BAD_STRATEGIES)
+def test_public_utilities_reject_bad_strategies(slot, bad):
+    weights, error = BAD_STRATEGIES[bad]
+    STRATEGY_SLOTS[slot](HALF)  # the good strategy passes
+    with pytest.raises(error):
+        STRATEGY_SLOTS[slot](weights)
