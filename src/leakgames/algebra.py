@@ -48,7 +48,12 @@ def split_tag(tagged: str) -> tuple[str, int]:
 
 
 def hidden_choice(weights, channels: Sequence[Channel]) -> Channel:
-    """Entrywise mixture sum_i mu(i) * C_i of same-type channels."""
+    """Entrywise mixture sum_i mu(i) * C_i of same-type channels.
+
+    Returned as a ``Channel``, so mixed float dust is stored as 0 like any
+    other; the game-level mixtures of ``dp`` (``hidden_levels``, the ratio
+    terms) and the audits' samples stay exact.
+    """
     channels = list(channels)
     if not channels:
         raise WeightCountMismatch("no channels to mix")

@@ -29,7 +29,6 @@ from .core import (
     ParameterOutOfRange,
     TooManyActions,
     ValidationError,
-    ZERO_TOL,
     channel_from_rows,
     uniform,
 )
@@ -50,16 +49,10 @@ def simplex_grid(n: int, step: float) -> np.ndarray:
     if not (0 < step <= 0.1 + 1e-12):
         raise ValidationError(f"grid step must lie in (0, 0.1], got {step!r}")
     m = max(1, round(1.0 / step))
-    combos = itertools.combinations(range(m + n - 1), n - 1)
     points = []
-    for dividers in combos:
-        prev = -1
-        parts = []
-        for d in dividers:
-            parts.append(d - prev - 1)
-            prev = d
-        parts.append(m + n - 2 - prev)
-        points.append(parts)
+    for dividers in itertools.combinations(range(m + n - 1), n - 1):
+        bounds = (-1, *dividers, m + n - 1)
+        points.append([b - a - 1 for a, b in zip(bounds, bounds[1:])])
     return np.array(points, dtype=float) / m
 
 
@@ -119,10 +112,10 @@ def check_bayes_hypothesis_bound(
 ) -> HypothesisBoundReport:
     """Verify the posterior-odds bound with epsilon = dp_level(channel).
 
-    Terms with C(x,y) at or below ``ZERO_TOL`` are skipped, the zero rule
-    of ``dp_level``.  Slacks are screened with numpy's ``log``; the few
-    near the maximum or past the tolerance are recomputed with
-    ``math.log``, so the report does not depend on how numpy rounds.
+    Terms with C(x,y) = 0 are skipped, as in ``dp_level``.  Slacks are
+    screened with numpy's ``log``; the few near the maximum or past the
+    tolerance are recomputed with ``math.log``, so the report does not
+    depend on how numpy rounds.
     """
     eps = dp_level(channel, adj)
     if eps == INFINITE:
@@ -134,7 +127,7 @@ def check_bayes_hypothesis_bound(
             raise ValidationError("hypothesis-bound audit needs full-support priors")
     i, j = adj.index_pairs(channel.inputs)
     # (pair, output) terms in loop order; conformance makes C(x',y) live too.
-    k, y = np.nonzero(channel.matrix[i] > ZERO_TOL)
+    k, y = np.nonzero(channel.matrix[i] > 0)
     if not priors or not k.size:
         return HypothesisBoundReport(eps, 0.0, ())
     i, j = i[k], j[k]

@@ -22,9 +22,9 @@ import numpy as np
 
 STOCHASTIC_TOL = 1e-9
 
-# Entries at or below this are treated as exact zeros: in zero patterns
-# (conformance), DP levels and the hidden DP solver's ratio terms; guards
-# against float dust left behind by cascades and mixtures.
+# A Channel stores entries at or below this as exact zeros (float dust from
+# cascades, and the negatives the sign check lets through), so zero
+# patterns, DP levels and mixtures of channels test ``== 0`` / ``> 0``.
 ZERO_TOL = 1e-15
 
 
@@ -172,6 +172,8 @@ class Channel:
             raise NonStochastic(
                 f"row {i} ({self.inputs[i]!r}) sums to {sums[i]!r}, not 1"
             )
+        m = np.where(m > ZERO_TOL, m, 0.0)
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -462,12 +464,12 @@ def align_outputs(channels: Sequence[Channel]) -> list[Channel]:
 
 
 def zero_mismatch(matrices: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """(..., pair, y) mask where exactly one of C(i,y), C(j,y) is at most ``ZERO_TOL``.
+    """(..., pair, y) mask where exactly one of C(i,y), C(j,y) is zero.
 
     ``matrices`` is any (..., x, y) stack of channel matrices; a hit means
     the zero pattern disagrees on that adjacent pair (non-conformance).
     """
-    zero = matrices <= ZERO_TOL
+    zero = matrices == 0
     return zero[..., i, :] != zero[..., j, :]
 
 

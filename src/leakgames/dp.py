@@ -29,11 +29,11 @@ L(mu) = min_d (mu . F[:, d]) / (mu . G[:, d]) is a lower bound however
 accurately the LP was solved.  The value is ln(lambda) at the best
 strategy found, and the certificate gap is that value minus ln L, in nats.
 
-Coefficients at or below ``ZERO_TOL`` are exact zeros in the term set,
-as in the conformance check, so the round ratios and the dual bound see
-one zero pattern.  Ratio terms where both coefficient vectors vanish (a
-zero column shared by the whole family, as conformance guarantees) carry
-no constraint and are dropped when the term set is built.
+A ``Channel`` stores float dust as exact zeros, so every delta-mixture
+has the zero pattern conformance checked, and the round ratios, the dual
+bound and the levels test ``> 0``.  Ratio terms where both coefficient
+vectors vanish (a zero column shared by the whole family, as conformance
+guarantees) carry no constraint and are dropped when the term set is built.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def hidden_levels(game: GameSpec, deltas) -> np.ndarray:
     """Levels (nats) of the delta-mixed channels, (..., a) for delta (..., d).
 
     Summed one defender action at a time, so a strategy gets the same bits
-    alone or in a batch, on the same side of ``ZERO_TOL`` for every caller.
+    alone or in a batch; a mixed entry is zero iff every channel mixed is.
     """
     weights = np.moveaxis(np.asarray(deltas, dtype=float), -1, 0)[..., None, None, None]
     mixed = sum(w * m for w, m in zip(weights, game.matrices))  # (..., a, x, y)
@@ -150,15 +150,12 @@ def build_ratio_terms(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
 
     Terms run over attacker actions, ordered adjacent input pairs (both
     directions, which makes the log-free ratio formulation capture the
-    symmetric maximum), and outputs.  Coefficients at or below
-    ``ZERO_TOL`` are set to exact zeros, the zero rule of conformance, so
-    every later test of a term sees the same zero pattern.  Terms whose
-    coefficients are then all zero on both sides (a column the whole
-    family zeroes out, as the conforming zero pattern guarantees happens
-    in lockstep) are dropped.
+    symmetric maximum), and outputs.  Terms whose coefficients are all
+    zero on both sides (a column the whole family zeroes out, as the
+    conforming zero pattern guarantees happens in lockstep) are dropped.
     """
     i, j = game.require_dp().adjacency.index_pairs(game.inputs)
-    stack = np.where(game.matrices > ZERO_TOL, game.matrices, 0.0).transpose(1, 2, 3, 0)
+    stack = game.matrices.transpose(1, 2, 3, 0)
     # (a, x, y, d) -> rows (a, pair, y), one column per defender action
     f = stack[:, i].reshape(-1, stack.shape[-1])
     g = stack[:, j].reshape(-1, stack.shape[-1])
@@ -169,10 +166,10 @@ def build_ratio_terms(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
 def _max_ratio(f_coeffs: np.ndarray, g_coeffs: np.ndarray, delta: np.ndarray) -> float:
     fv = f_coeffs @ delta
     gv = g_coeffs @ delta
-    live = fv > ZERO_TOL
+    live = fv > 0
     if not live.any():
         return 1.0
-    if np.any(gv[live] <= ZERO_TOL):
+    if np.any(gv[live] <= 0):
         raise NumericalFailure(
             "ratio with zero denominator on a conforming family; "
             "channel data is inconsistent"
@@ -246,6 +243,9 @@ def solve_dp_hidden(
     lam = best = _max_ratio(f_coeffs, g_coeffs, delta)
     # 1 bounds every game: adjacent rows both sum to one, so some ratio is >= 1
     best_delta, lower = delta, 1.0
+    for vertex in np.eye(n_d):  # the best vertex is the visible optimum; rounds start at uniform
+        if (ratio := _max_ratio(f_coeffs, g_coeffs, vertex)) < best:
+            best, best_delta = ratio, vertex
     lambdas: list[float] = []
     residuals: list[float] = []
     sizes: list[int] = []

@@ -24,7 +24,6 @@ from .core import (
     GainFunction,
     LabelMismatch,
     NegativeEpsilon,
-    ZERO_TOL,
     ZeroPriorVulnerability,
     zero_mismatch,
 )
@@ -97,14 +96,14 @@ def is_conforming(channel: Channel, adj: AdjacencyRelation) -> bool:
 def max_ratios(matrices: np.ndarray, adj: AdjacencyRelation, labels) -> np.ndarray:
     """Largest C(x,y)/C(x',y) over adjacent pairs, per channel of a (..., x, y) stack.
 
-    At least 1.  Entries at or below ``ZERO_TOL`` count as exact zeros:
-    a ratio with both sides zero carries no constraint, and one with
-    exactly one side zero (non-conformance) makes the result ``inf``.
+    At least 1.  A ratio with both sides zero carries no constraint, and
+    one with exactly one side zero (non-conformance) makes the result
+    ``inf``; zeros are exact, as a ``Channel`` stores them.
     """
     i, j = adj.index_pairs(labels)
     i, j = i[i < j], j[i < j]
     num, den = matrices[..., i, :], matrices[..., j, :]
-    live = (num > ZERO_TOL) & (den > ZERO_TOL)
+    live = (num > 0) & (den > 0)
     ratio = np.divide(num, den, out=np.ones_like(num), where=live)
     best = np.maximum(ratio, 1.0 / ratio).max(axis=(-2, -1), initial=1.0)
     return np.where(zero_mismatch(matrices, i, j).any(axis=(-2, -1)), INFINITE, best)

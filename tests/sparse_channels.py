@@ -4,8 +4,8 @@ import numpy as np
 
 from leakgames.core import AdjacencyRelation, channel_from_rows
 
-# Entries at or below ZERO_TOL (1e-15), the boundary included, count as
-# zeros; the NEAR_ZERO ones are live, just above it.
+# A Channel stores entries at or below ZERO_TOL (1e-15), the boundary
+# included, as 0.0; the NEAR_ZERO ones stay live, just above it.
 DUST = (1e-300, 1e-17, 5e-16, 1e-15)
 NEAR_ZERO = (2e-15, 1e-12)
 
@@ -23,7 +23,8 @@ def sparse_channel(seed: int, dust: bool = False):
 
     Some columns are zero in every row; half the channels also zero single
     entries (mostly non-conforming).  With ``dust`` those entries are
-    5e-16, at or below ``ZERO_TOL``, instead of 0.
+    5e-16 before the row scaling instead of 0, and the channel stores
+    those still at or below ``ZERO_TOL`` as 0.0.
     """
     rng = np.random.default_rng(seed)
     n, m = (int(k) for k in rng.integers(2, 9, size=2))
@@ -43,7 +44,7 @@ def sparse_channel(seed: int, dust: bool = False):
 
 def _game_rows(rng, n: int, m: int, dust: bool, conforming: bool) -> np.ndarray:
     rows = rng.dirichlet(np.full(m, rng.choice([0.3, 1.0])), size=n)
-    if conforming:  # a Dirichlet(0.3) entry can fall to ZERO_TOL and break conformance
+    if conforming:  # a Dirichlet(0.3) entry <= ZERO_TOL would be stored as 0.0, unconforming
         rows = np.maximum(rows, 1e-9)
     keep = int(rng.integers(m))  # never zeroed, so every row keeps mass
     zero = np.zeros((n, m), dtype=bool)
@@ -54,7 +55,7 @@ def _game_rows(rng, n: int, m: int, dust: bool, conforming: bool) -> np.ndarray:
     rows[zero] = 0.0
     rows /= rows.sum(axis=1, keepdims=True)
     if dust:  # after the scaling, which would move them
-        # conforming: a whole column lands on one side of ZERO_TOL
+        # conforming: a Channel stores a whole column as 0.0 or keeps it all live
         live = rng.random(m if conforming else (n, m)) < 0.3
         near = np.where(live, rng.choice(NEAR_ZERO, (n, m)), rng.choice(DUST, (n, m)))
         rows[zero] = near[zero]

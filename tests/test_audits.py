@@ -186,8 +186,8 @@ def test_hypothesis_bound_never_fails_at_own_level(seed):
 
 
 def test_hypothesis_bound_skips_dust_entries():
-    # The "1|0" channel of the unsound-certificate game: 1e-15 is a zero
-    # under ZERO_TOL and faces an exact 0 in the other row.
+    # The "1|0" channel of the unsound-certificate game: the channel
+    # stores its 1e-15 as 0.0, matching the exact 0 in the other row.
     c = channel_from_rows(
         ["x0", "x1"],
         ["y0", "y1", "y2"],
@@ -280,6 +280,17 @@ def test_info_increase_constant_channel_alpha_zero():
     )
     assert report.direction1_applicable and report.direction2_applicable
     assert report.holds
+
+
+def test_info_increase_dust_column_reads_as_dp_level():
+    # the channel stores 1e-17 as 0.0, so the prior grid sees the zero
+    # column dp_level sees, not a live ratio of 1/0.1
+    c = channel_from_rows(
+        ["a", "b"], ["y0", "y1", "y2"], [[0.5, 0.5 - 1e-17, 1e-17], [0.5, 0.5, 0]]
+    )
+    report = check_info_increase_bounds(c, ALL, random_priors(["a", "b"], 10, seed=5), alpha=0.1)
+    assert report.grid_alpha == 0.0 == report.dp_level == dp_level(c, ALL)
+    assert report.direction2_applicable and report.holds
 
 
 def test_info_increase_rejects_nonconforming_identity():

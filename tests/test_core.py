@@ -38,7 +38,7 @@ from leakgames.qif import (
     worst_case_vulnerability,
 )
 from leakgames.scenarios import build_dp_example, build_two_millionaires
-from sparse_channels import sparse_game
+from sparse_channels import sparse_channel, sparse_game
 
 
 def test_identity_channel_is_valid():
@@ -86,6 +86,21 @@ def test_channel_matrix_is_immutable():
     c = channel_from_rows(["0", "1"], ["T", "F"], [[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         c.matrix[0, 0] = 0.5
+
+
+def test_channel_stores_dust_and_small_negatives_as_zero():
+    # -5e-10 passes the sign check, which allows STOCHASTIC_TOL
+    c = channel_from_rows(["0", "1"], ["T", "F"], [[1.0, 1e-17], [1 + 5e-10, -5e-10]])
+    assert c.matrix[:, 1].tolist() == [0.0, 0.0]
+    assert not np.signbit(c.matrix).any()
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_channel_stores_exact_zeros(seed):
+    m = sparse_channel(seed, dust=True)[0].matrix
+    assert not np.any(m < 0)
+    assert not np.any((m > 0) & (m <= ZERO_TOL))
 
 
 @given(st.integers(0, 10**6))

@@ -287,6 +287,32 @@ def test_dust_entries_give_a_sound_certificate():
     assert audit["ok"], audit["violations"]
 
 
+def test_dust_crash_game_solves_certified(capsys):
+    # d0's live 2e-15 mixed below 1e-15 while its live 1e-12 partner did
+    # not, when mixtures were tested against ZERO_TOL: solve and audit
+    # stopped with "ratio with zero denominator"
+    path = str(Path(__file__).parent / "data" / "dp_dust_crash.json")
+    assert cli.run(["solve", "dp", path, "--mode", "hidden"]) == 0
+    hidden = json.loads(capsys.readouterr().out)
+    assert cli.run(["solve", "dp", path, "--mode", "visible"]) == 0
+    visible = json.loads(capsys.readouterr().out)
+    assert hidden["certified"] and hidden["value"] <= visible["value"]
+    assert cli.run(["audit", path]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+
+
+@pytest.mark.parametrize("seed", [13, 55, 131])
+def test_dusted_sparse_game_solves_and_audits_clean(seed):
+    # with mixtures tested against ZERO_TOL, seeds 13 and 55 raised
+    # NumericalFailure and seed 131 failed quasi_convexity and
+    # hidden_upper_bound
+    game = _sparse_dp_game(seed, dust=True)
+    hidden = solve_dp_hidden(game)
+    assert hidden.certified and hidden.value <= solve_dp_visible(game).value
+    audit = audit_game(game)
+    assert audit["ok"], audit["violations"]
+
+
 def test_round_budget_exhausted_is_uncertified(tmp_path, capsys):
     rep = solve_dp_hidden(build_dp_example(), max_iter=1)
     assert not rep.certified and rep.iterations == 1
@@ -366,7 +392,7 @@ def test_objective_batch_matches_hidden_utility(seed, dust):
 
 
 def test_boundary_entries_mix_alike_alone_and_in_a_batch():
-    # 1e-15 is a zero; mixed, it lands just above or at ZERO_TOL by summation order
+    # the channel stores 1e-15 as 0.0, so no summation order can mix it back to live
     rows = [[1e-15, 0.4, 0.6 - 1e-15], [0.0, 0.7, 0.3]]
     c = channel_from_rows(["x0", "x1"], ["y0", "y1", "y2"], rows)
     chans = {(d, a): c for d in ("d0", "d1") for a in ("a0", "a1")}

@@ -227,12 +227,13 @@ def test_dp_level_matches_pairwise_loop(seed, dust):
 @given(st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=50, deadline=None)
 def test_dp_levels_match_pairwise_loop_per_channel(seed, dust):
-    stack, inputs, outputs, adj = sparse_game(seed, dust)
-    levels = dp_levels(stack, adj, inputs)
-    assert levels.shape == stack.shape[:2]
+    raw, inputs, outputs, adj = sparse_game(seed, dust)
+    # dp_levels takes stored channel matrices, whose dust is already zero
+    channels = [[channel_from_rows(inputs, outputs, rows) for rows in row] for row in raw]
+    levels = dp_levels(np.array([[c.matrix for c in row] for row in channels]), adj, inputs)
+    assert levels.shape == raw.shape[:2]
     for d, a in np.ndindex(*levels.shape):
-        channel = channel_from_rows(inputs, outputs, stack[d, a])
-        assert levels[d, a] == _loop_dp_level(channel, adj)
+        assert levels[d, a] == _loop_dp_level(channels[d][a], adj)
 
 
 def test_check_dp_examples():
