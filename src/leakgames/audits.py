@@ -329,29 +329,21 @@ def audit_game(game: GameSpec, seed: int = 0, n_priors: int = 50) -> dict:
 
     if game.is_qif():
         obj = QifObjective(game)
-        n = len(game.defender_actions)
-        ok = True
-        worst = 0.0
-        for _ in range(50):
-            delta = rng.dirichlet(np.ones(n))
-            delta2 = rng.dirichlet(np.ones(n))
+        ones = np.ones(len(game.defender_actions))
+        # 50 (delta, delta2) pairs, then 50 (d1, d2, lam) triples, drawn in that order
+        deltas, deltas2 = rng.dirichlet(ones, size=(50, 2)).swapaxes(0, 1)
+        gaps = []
+        for delta, delta2, f2 in zip(deltas, deltas2, obj.value_batch(deltas2)):
             f1, h = obj.value_and_subgradient(delta)
-            f2 = obj.value_batch(delta2[None, :])[0]
-            gap = f2 - (f1 + h @ (delta2 - delta))
-            worst = min(worst, float(gap))
-            ok = ok and gap >= -1e-9
-        record("subgradient_inequality", ok, f"worst margin {worst:.3e}")
+            gaps.append(f2 - (f1 + h @ (delta2 - delta)))
+        ok = all(gap >= -1e-9 for gap in gaps)
+        record("subgradient_inequality", ok, f"worst margin {min(0.0, *gaps):.3e}")
 
-        ok = True
-        for _ in range(50):
-            d1 = rng.dirichlet(np.ones(n))
-            d2 = rng.dirichlet(np.ones(n))
-            lam = rng.random()
-            lhs = obj.value_batch((lam * d1 + (1 - lam) * d2)[None, :])[0]
-            rhs = lam * obj.value_batch(d1[None, :])[0] + (1 - lam) * obj.value_batch(
-                d2[None, :]
-            )[0]
-            ok = ok and lhs <= rhs + 1e-9
+        draws = [(rng.dirichlet(ones), rng.dirichlet(ones), rng.random()) for _ in range(50)]
+        d1, d2, lam = (np.array(column) for column in zip(*draws))
+        lhs = obj.value_batch(lam[:, None] * d1 + (1 - lam[:, None]) * d2)
+        rhs = lam * obj.value_batch(d1) + (1 - lam) * obj.value_batch(d2)
+        ok = bool(np.all(lhs <= rhs + 1e-9))
         record("objective_convexity", ok)
     else:
         visible_report = solve_dp_visible(game)

@@ -122,8 +122,10 @@ class QifObjective:
     """Precomputed evaluator for f(delta) and its subgradients.
 
     Folds prior, gain, and channel family into one tensor
-    S0[a, d, w, y] = sum_x prior(x) g(w, x) C_da(x, y), so that a single
-    contraction per iteration yields all per-action vulnerabilities.
+    S0[a, d, w, y] = sum_x prior(x) g(w, x) C_da(x, y).  A strategy, or a
+    (batch, d) array of them, meets S0 one attacker action at a time: the
+    per-action block S0[a] . delta has shape (..., w, y), so peak memory
+    is one (batch, w, y) block, never (batch, a, w, y).
     """
 
     def __init__(self, game: GameSpec):
@@ -132,13 +134,14 @@ class QifObjective:
         # C-contiguous: the certificate's einsum rounds differently on a view
         self._s0 = np.ascontiguousarray((weighted_gain @ game.matrices).transpose(1, 0, 2, 3))
 
-    def _scores(self, delta: np.ndarray) -> np.ndarray:
-        """S0 . delta, shape (..., a, w, y), for one strategy or a (batch, d) array."""
-        flat = delta @ self._s0.reshape(*self._s0.shape[:2], -1)  # (a, ..., w*y), S0 not copied
-        return np.moveaxis(flat, 0, -2).reshape(*np.shape(delta)[:-1], -1, *self._s0.shape[2:])
+    def _block(self, delta: np.ndarray, a_idx: int) -> np.ndarray:
+        """S0[a_idx] . delta, shape (..., w, y); S0 is not copied."""
+        s0 = self._s0[a_idx]
+        return (delta @ s0.reshape(len(s0), -1)).reshape(*np.shape(delta)[:-1], *s0.shape[1:])
 
     def per_action_values(self, delta: np.ndarray) -> np.ndarray:
-        return self._scores(delta).max(axis=-2).sum(axis=-1)
+        blocks = (self._block(delta, a) for a in range(len(self._s0)))
+        return np.stack([b.max(axis=-2).sum(axis=-1) for b in blocks], axis=-1)
 
     def value(self, delta: np.ndarray) -> tuple[float, int]:
         """f(delta) and the attacker action index attaining it (lowest wins ties)."""
@@ -151,12 +154,10 @@ class QifObjective:
         return self.per_action_values(deltas).max(axis=-1)
 
     def value_and_subgradient(self, delta: np.ndarray) -> tuple[float, np.ndarray]:
-        scores = self._scores(delta)
-        values = scores.max(axis=1).sum(axis=1)
-        a_idx = int(np.argmax(values))
-        w_star = np.argmax(scores[a_idx], axis=0)
+        value, a_idx = self.value(delta)
+        w_star = np.argmax(self._block(delta, a_idx), axis=0)
         h = self._s0[a_idx][:, w_star, np.arange(w_star.size)].sum(axis=1)
-        return float(values[a_idx]), h
+        return value, h
 
 
 def qif_utility(game: GameSpec, delta, alpha) -> float:

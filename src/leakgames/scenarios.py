@@ -413,6 +413,45 @@ def _site_neighbors(sites: Mapping[str, tuple[str, ...]], site: str, side: str):
     return sites[site]
 
 
+def _crowds_rows(config: CrowdsConfig, profiles) -> np.ndarray:
+    """Rows of k (defender site, attacker site) profiles' channels, (k, n, n + 1), in one solve."""
+    nodes = config.nodes
+    n = len(nodes)
+    index = {node: i for i, node in enumerate(nodes)}
+    adj = config.adjacency()
+    p_f = config.forward_prob
+
+    def members(sites, site, side):  # (n,) mask of the honest nodes in the site's range
+        return np.isin(nodes, _site_neighbors(sites, site, side))
+
+    is_corrupt = np.array([members(config.attacker_sites, a, "attacker") for _, a in profiles])
+    deliver = np.array([members(config.defender_sites, d, "defender") for d, _ in profiles])
+    # A lone node with no site in range forwards nowhere; degree 1 keeps its
+    # all-zero terms finite.
+    links = np.array([len(adj[z]) for z in nodes])  # honest neighbors
+    degree = np.maximum(1, links + is_corrupt + deliver).astype(float)  # (k, n)
+    # neighbors[x, j]: index of x's j-th neighbor in adjacency order, padded
+    # with n, which names the all-zero row appended to absorb below.
+    width = int(links.max())
+    neighbors = np.full((n, width), n)
+    for z in nodes:
+        neighbors[index[z], : len(adj[z])] = [index[w] for w in adj[z]]
+
+    transit = np.zeros((len(profiles), n, n + 1))  # the padding column n is dropped
+    transit[:, np.arange(n)[:, None], neighbors] = (p_f / degree)[:, :, None]
+    onto_corrupt = np.where(is_corrupt, p_f / degree, 0.0)
+
+    # absorb[p, z, j]: from forwarder z, probability of eventual detection at j.
+    absorb = np.linalg.solve(np.eye(n) - transit[:, :, :n], onto_corrupt[:, None, :] * np.eye(n))
+    absorb = np.concatenate([absorb, np.zeros((len(profiles), 1, n))], axis=1)
+
+    det = np.zeros((len(profiles), n, n))
+    for j in range(width):
+        det += absorb[:, neighbors[:, j]] / degree[:, :, None]
+    det[:, np.arange(n), np.arange(n)] += is_corrupt / degree
+    return np.concatenate([det, np.maximum(0.0, 1.0 - det.sum(axis=2))[:, :, None]], axis=2)
+
+
 def crowds_channel(config: CrowdsConfig, defender_site: str, attacker_site: str) -> Channel:
     """Initiator-to-observation channel for one placement profile.
 
@@ -427,46 +466,11 @@ def crowds_channel(config: CrowdsConfig, defender_site: str, attacker_site: str)
     Detection probabilities come from the absorbing Markov chain over
     forwarder states (dense linear solve).  Each initiator's detections
     are summed over its neighbors in adjacency order, so the output is
-    byte-stable.
+    byte-stable.  ``build_crowds`` solves one stack per defender site and
+    gets the same bits.
     """
-    nodes = config.nodes
-    n = len(nodes)
-    index = {node: i for i, node in enumerate(nodes)}
-    adj = config.adjacency()
-    corrupt = set(_site_neighbors(config.attacker_sites, attacker_site, "attacker"))
-    deliver = set(_site_neighbors(config.defender_sites, defender_site, "defender"))
-    p_f = config.forward_prob
-
-    is_corrupt = np.array([z in corrupt for z in nodes])
-    # A lone node with no site in range forwards nowhere; degree 1 keeps its
-    # all-zero terms finite.
-    degree = np.array(
-        [max(1, len(adj[z]) + (z in corrupt) + (z in deliver)) for z in nodes],
-        dtype=float,
-    )
-    # neighbors[x, k]: index of x's k-th neighbor in adjacency order, padded
-    # with n, which names the all-zero row appended to absorb below.
-    width = max(len(adj[z]) for z in nodes)
-    neighbors = np.full((n, width), n)
-    for z in nodes:
-        neighbors[index[z], : len(adj[z])] = [index[w] for w in adj[z]]
-
-    transit = np.zeros((n, n + 1))  # the padding column n is dropped
-    transit[np.arange(n)[:, None], neighbors] = (p_f / degree)[:, None]
-    onto_corrupt = np.where(is_corrupt, p_f / degree, 0.0)
-
-    # absorb[z, j]: from forwarder z, probability of eventual detection at j.
-    absorb = np.linalg.solve(np.eye(n) - transit[:, :n], np.diag(onto_corrupt))
-    absorb = np.vstack([absorb, np.zeros(n)])
-
-    det = np.zeros((n, n))
-    for k in range(width):
-        det += absorb[neighbors[:, k]] / degree[:, None]
-    det[np.arange(n), np.arange(n)] += is_corrupt / degree
-    rows = np.column_stack([det, np.maximum(0.0, 1.0 - det.sum(axis=1))])
-
-    outputs = nodes + (NO_DETECTION,)
-    return channel_from_rows(nodes, outputs, rows)
+    rows = _crowds_rows(config, [(defender_site, attacker_site)])[0]
+    return channel_from_rows(config.nodes, config.nodes + (NO_DETECTION,), rows)
 
 
 def build_crowds(config: CrowdsConfig) -> GameSpec:
@@ -477,11 +481,12 @@ def build_crowds(config: CrowdsConfig) -> GameSpec:
     """
     d_actions = tuple(config.defender_sites)
     a_actions = tuple(config.attacker_sites)
-    channels = {
-        (d, a): crowds_channel(config, d, a)
-        for d in d_actions
-        for a in a_actions
-    }
+    outputs = config.nodes + (NO_DETECTION,)
+    channels = {}
+    for d in d_actions:
+        stack = _crowds_rows(config, [(d, a) for a in a_actions])
+        for a, rows in zip(a_actions, stack):
+            channels[(d, a)] = channel_from_rows(config.nodes, outputs, rows)
     return GameSpec(
         defender_actions=d_actions,
         attacker_actions=a_actions,

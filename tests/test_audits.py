@@ -397,3 +397,33 @@ def test_hidden_lower_bound_check_flags_a_raised_bound(make, monkeypatch):
     result = audit_game(game, n_priors=2)
     assert not result["checks"]["hidden_lower_bound_sound"]
     assert not result["ok"]
+
+
+# -- QIF audit mutants: each check must flag an objective that breaks it ----------
+
+@pytest.mark.parametrize("make", [build_two_millionaires, build_binary_sum])
+def test_convexity_check_flags_a_concave_objective(make, monkeypatch):
+    class Negated(audits.QifObjective):
+        def value_batch(self, deltas):
+            return -super().value_batch(deltas)
+
+    assert audit_game(make())["checks"]["objective_convexity"]
+    monkeypatch.setattr(audits, "QifObjective", Negated)
+    result = audit_game(make())
+    assert not result["checks"]["objective_convexity"]
+    assert not result["ok"]
+
+
+@pytest.mark.parametrize("make", [build_two_millionaires, build_binary_sum])
+def test_subgradient_check_flags_a_raised_value(make, monkeypatch):
+    class Raised(audits.QifObjective):
+        def value_and_subgradient(self, delta):
+            value, h = super().value_and_subgradient(delta)
+            return value + 1.0, h
+
+    assert audit_game(make())["checks"]["subgradient_inequality"]
+    monkeypatch.setattr(audits, "QifObjective", Raised)
+    result = audit_game(make())
+    assert not result["checks"]["subgradient_inequality"]
+    assert result["checks"]["objective_convexity"]
+    assert not result["ok"]

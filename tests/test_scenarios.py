@@ -377,10 +377,12 @@ def _loop_crowds_channel(config, defender_site, attacker_site):
 
 
 def _assert_every_profile_matches_loop(cfg):
+    game = build_crowds(cfg)  # one solve stack per defender site
     for d in cfg.defender_sites:
         for a in cfg.attacker_sites:
-            assert np.array_equal(crowds_channel(cfg, d, a).matrix,
-                                  _loop_crowds_channel(cfg, d, a)), (d, a)
+            loop = _loop_crowds_channel(cfg, d, a)
+            assert np.array_equal(crowds_channel(cfg, d, a).matrix, loop), (d, a)
+            assert np.array_equal(game.channel(d, a).matrix, loop), (d, a)
 
 
 @pytest.mark.parametrize("forward_prob", [0.8, 0.5])
