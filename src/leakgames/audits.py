@@ -35,7 +35,7 @@ from .core import (
 from .algebra import hidden_choice
 from .measures import INFINITE, bayes_posterior, check_dp, dp_level
 from .qif import QifObjective
-from .dp import DpObjective, hidden_levels, solve_dp_hidden, solve_dp_visible
+from .dp import hidden_levels, solve_dp_hidden, solve_dp_visible
 
 MAX_ORACLE_ACTIONS = 4
 
@@ -57,26 +57,26 @@ def simplex_grid(n: int, step: float) -> np.ndarray:
 
 
 def _grid_minimum(game: GameSpec, objective, grid_step: float) -> tuple[Distribution, float]:
-    """Minimizer of ``objective(game).value_batch`` over the simplex lattice."""
+    """Minimizer over the simplex lattice of ``objective``, which maps (batch, d) to (batch,)."""
     if len(game.defender_actions) > MAX_ORACLE_ACTIONS:
         raise TooManyActions(
             f"grid oracle handles at most {MAX_ORACLE_ACTIONS} defender actions, "
             f"got {len(game.defender_actions)}"
         )
     grid = simplex_grid(len(game.defender_actions), grid_step)
-    values = objective(game).value_batch(grid)
+    values = objective(grid)
     best = int(np.argmin(values))
     return Distribution(game.defender_actions, grid[best]), float(values[best])
 
 
 def brute_force_qif(game: GameSpec, grid_step: float) -> tuple[Distribution, float]:
     """Grid minimizer of the worst-case vulnerability over the simplex."""
-    return _grid_minimum(game, QifObjective, grid_step)
+    return _grid_minimum(game, QifObjective(game).value_batch, grid_step)
 
 
 def brute_force_dp_hidden(game: GameSpec, grid_step: float) -> tuple[Distribution, float]:
     """Grid minimizer of the hidden-choice DP level over the simplex."""
-    return _grid_minimum(game, DpObjective, grid_step)
+    return _grid_minimum(game, lambda deltas: hidden_levels(game, deltas).max(axis=-1), grid_step)
 
 
 def _posteriors(prior: Distribution, channel: Channel):

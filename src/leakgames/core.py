@@ -322,7 +322,7 @@ def bayes_gain(inputs: Sequence[str]) -> GainFunction:
     return GainFunction(inputs, inputs, np.eye(len(inputs)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AdjacencyRelation:
     """Symmetric, irreflexive relation on secrets.
 
@@ -385,16 +385,8 @@ class AdjacencyRelation:
         pairs = np.array(list(self.ordered_pairs(labels)), dtype=int).reshape(-1, 2)
         return pairs[:, 0], pairs[:, 1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AdjacencyRelation):
-            return NotImplemented
-        return self.mode == other.mode and self.pairs == other.pairs
 
-    def __hash__(self):
-        return hash((self.mode, self.pairs))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QifMeasure:
     """Posterior g-vulnerability utility: prior plus gain function."""
 
@@ -407,14 +399,6 @@ class QifMeasure:
                 "prior labels and gain-function inputs disagree: "
                 f"{self.prior.labels} vs {self.gain.inputs}"
             )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QifMeasure):
-            return NotImplemented
-        return self.prior == other.prior and self.gain == other.gain
-
-    def __hash__(self):
-        return hash((self.prior, self.gain))
 
 
 @dataclass(frozen=True)

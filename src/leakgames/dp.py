@@ -164,6 +164,10 @@ def build_ratio_terms(game: GameSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _max_ratio(f_coeffs: np.ndarray, g_coeffs: np.ndarray, delta: np.ndarray) -> float:
+    """Largest f_j(delta)/g_j(delta), one division per ordered-pair term.
+
+    The rule of ``measures.max_ratios``: at a vertex, the same bits.
+    """
     fv = f_coeffs @ delta
     gv = g_coeffs @ delta
     live = fv > 0
@@ -301,21 +305,3 @@ def solve_dp_visible(game: GameSpec) -> SolveReport:
             "defender_action": game.defender_actions[d_idx],
         },
     )
-
-
-class DpObjective:
-    """Vectorized evaluator of the hidden-choice DP objective.
-
-    value(delta) = max_a VDP[sum_d delta(d) C_da] in nats.  Used by the
-    grid oracle; the solver itself works in ratio space.
-    """
-
-    def __init__(self, game: GameSpec):
-        game.require_dp()
-        self.game = game
-
-    def value_batch(self, deltas: np.ndarray) -> np.ndarray:
-        return hidden_levels(self.game, np.atleast_2d(deltas)).max(axis=1)
-
-    def value(self, delta) -> float:
-        return float(self.value_batch(np.asarray(delta, dtype=float))[0])

@@ -25,6 +25,7 @@ from .core import (
     LabelMismatch,
     NegativeEpsilon,
     ZeroPriorVulnerability,
+    bayes_gain,
     zero_mismatch,
 )
 
@@ -64,8 +65,7 @@ def posterior_vulnerability(
 
 def bayes_posterior(prior: Distribution, channel: Channel) -> float:
     """Posterior Bayes vulnerability: sum_y max_x prior(x) C(x,y)."""
-    _check_prior(prior, channel.inputs)
-    return float((prior.weights[:, None] * channel.matrix).max(axis=0).sum())
+    return posterior_vulnerability(bayes_gain(prior.labels), prior, channel)
 
 
 def leakage(
@@ -96,17 +96,18 @@ def is_conforming(channel: Channel, adj: AdjacencyRelation) -> bool:
 def max_ratios(matrices: np.ndarray, adj: AdjacencyRelation, labels) -> np.ndarray:
     """Largest C(x,y)/C(x',y) over adjacent pairs, per channel of a (..., x, y) stack.
 
-    At least 1.  A ratio with both sides zero carries no constraint, and
-    one with exactly one side zero (non-conformance) makes the result
-    ``inf``; zeros are exact, as a ``Channel`` stores them.
+    One division per ordered adjacent pair (x, x') and output, no
+    reciprocal: the rule of ``dp._max_ratio``, so both give the same bits
+    at a vertex.  At least 1.  A ratio with both sides zero carries no
+    constraint, and one with exactly one side zero (non-conformance) makes
+    the result ``inf``; zeros are exact, as a ``Channel`` stores them.
     """
     i, j = adj.index_pairs(labels)
-    i, j = i[i < j], j[i < j]
     num, den = matrices[..., i, :], matrices[..., j, :]
     live = (num > 0) & (den > 0)
-    ratio = np.divide(num, den, out=np.ones_like(num), where=live)
-    best = np.maximum(ratio, 1.0 / ratio).max(axis=(-2, -1), initial=1.0)
-    return np.where(zero_mismatch(matrices, i, j).any(axis=(-2, -1)), INFINITE, best)
+    best = np.divide(num, den, out=np.ones_like(num), where=live).max(axis=(-2, -1), initial=1.0)
+    half = i < j  # the zero-pattern test is symmetric
+    return np.where(zero_mismatch(matrices, i[half], j[half]).any(axis=(-2, -1)), INFINITE, best)
 
 
 def dp_levels(matrices: np.ndarray, adj: AdjacencyRelation, labels) -> np.ndarray:

@@ -18,13 +18,16 @@ def _adjacency(rng, inputs):
     ][int(rng.integers(3))]
 
 
-def sparse_channel(seed: int, dust: bool = False):
+def sparse_channel(seed: int, dust: bool | str = False):
     """A 2-8 x 2-8 channel and an all-pairs, chain or empty adjacency.
 
     Some columns are zero in every row; half the channels also zero single
-    entries (mostly non-conforming).  With ``dust`` those entries are
-    5e-16 before the row scaling instead of 0, and the channel stores
-    those still at or below ``ZERO_TOL`` as 0.0.
+    entries (mostly non-conforming).  With ``dust=True`` those single
+    entries are 5e-16 before the row scaling instead of 0, so on a row that
+    lost mass to zeroed columns some scale above ``ZERO_TOL`` and stay
+    live.  With ``dust="after"`` every zeroed entry is set to a ``DUST``
+    value after the scaling, as in ``sparse_game``: true dust, which the
+    channel stores as 0.0, the same channel as with no dust.
     """
     rng = np.random.default_rng(seed)
     n, m = (int(k) for k in rng.integers(2, 9, size=2))
@@ -36,10 +39,14 @@ def sparse_channel(seed: int, dust: bool = False):
     if rng.random() < 0.5:
         entries = rng.random((n, m)) < 0.15
         entries[:, keep] = False
-        rows[entries] = 5e-16 if dust else 0.0
+        rows[entries] = 5e-16 if dust is True else 0.0
     rows /= rows.sum(axis=1, keepdims=True)
     inputs = [f"x{i}" for i in range(n)]
-    return channel_from_rows(inputs, [f"y{j}" for j in range(m)], rows), _adjacency(rng, inputs)
+    adj = _adjacency(rng, inputs)
+    if dust == "after":  # after the scaling, which would move them
+        zero = rows == 0.0
+        rows[zero] = rng.choice(DUST, (n, m))[zero]
+    return channel_from_rows(inputs, [f"y{j}" for j in range(m)], rows), adj
 
 
 def _game_rows(rng, n: int, m: int, dust: bool, conforming: bool) -> np.ndarray:

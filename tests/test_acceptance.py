@@ -33,8 +33,8 @@ from leakgames.core import (
     uniform,
 )
 from leakgames.dp import (
-    DpObjective,
     dp_utility_hidden,
+    hidden_levels,
     hidden_upper_bound,
     solve_dp_hidden,
     solve_dp_visible,
@@ -319,9 +319,8 @@ def test_criterion_7_oracle_agreement():
             game = _rand_dp_game(rng)
             report = solve_dp_hidden(game)
             oracle_delta, oracle_value = brute_force_dp_hidden(game, grid_step)
-            objective = DpObjective(game)
             grid = simplex_grid(2, grid_step)
-            values = objective.value_batch(grid)
+            values = hidden_levels(game, grid).max(axis=-1)
             slope = float(np.abs(np.diff(values)).max()) / grid_step
             allowance = report.certificate_gap + slope * grid_step
             gap = abs(report.value - oracle_value)

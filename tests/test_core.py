@@ -88,17 +88,21 @@ def test_channel_matrix_is_immutable():
         c.matrix[0, 0] = 0.5
 
 
-def test_channel_stores_dust_and_small_negatives_as_zero():
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_channel_stores_dust_and_small_negatives_as_zero(seed):
     # -5e-10 passes the sign check, which allows STOCHASTIC_TOL
     c = channel_from_rows(["0", "1"], ["T", "F"], [[1.0, 1e-17], [1 + 5e-10, -5e-10]])
     assert c.matrix[:, 1].tolist() == [0.0, 0.0]
     assert not np.signbit(c.matrix).any()
+    # dust set after the row scaling, from 1e-300 up to ZERO_TOL itself
+    assert sparse_channel(seed, dust="after") == sparse_channel(seed)
 
 
-@given(st.integers(0, 2**32 - 1))
+@given(st.integers(0, 2**32 - 1), st.sampled_from([True, "after"]))
 @settings(max_examples=50, deadline=None)
-def test_channel_stores_exact_zeros(seed):
-    m = sparse_channel(seed, dust=True)[0].matrix
+def test_channel_stores_exact_zeros(seed, dust):
+    m = sparse_channel(seed, dust)[0].matrix
     assert not np.any(m < 0)
     assert not np.any((m > 0) & (m <= ZERO_TOL))
 
@@ -218,6 +222,18 @@ def test_adjacency_explicit_unknown_label():
     adj = AdjacencyRelation.explicit([("x", "w")])
     with pytest.raises(LabelMismatch):
         list(adj.ordered_pairs(["x", "y"]))
+
+
+def test_equal_relations_and_measures_hash_equal():
+    adj = AdjacencyRelation.explicit([("x", "y"), ("y", "z")])
+    reversed_pair = AdjacencyRelation.explicit([("z", "y"), ("x", "y")])
+    assert adj == reversed_pair and hash(adj) == hash(reversed_pair)
+    assert adj != AdjacencyRelation.all_pairs()
+    inputs = ["x", "y"]
+    measure = QifMeasure(uniform(inputs), bayes_gain(inputs))
+    rebuilt = QifMeasure(Distribution(("x", "y"), [0.5, 0.5]), bayes_gain(("x", "y")))
+    assert measure == rebuilt and hash(measure) == hash(rebuilt)
+    assert measure != QifMeasure(Distribution(("x", "y"), [0.4, 0.6]), bayes_gain(inputs))
 
 
 def _tiny_game(measure):

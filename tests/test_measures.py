@@ -129,9 +129,8 @@ def test_bayes_posterior_matches_general_form(seed):
     n = int(rng.integers(2, 5))
     c = _rand_chan(rng, n, int(rng.integers(1, 5)))
     prior = Distribution(c.inputs, rng.dirichlet(np.ones(n)))
-    direct = bayes_posterior(prior, c)
-    general = posterior_vulnerability(bayes_gain(c.inputs), prior, c)
-    assert direct == pytest.approx(general, abs=1e-12)
+    closed_form = float((prior.weights[:, None] * c.matrix).max(axis=0).sum())
+    assert bayes_posterior(prior, c) == closed_form
 
 
 # -- leakage -----------------------------------------------------------------
@@ -199,24 +198,24 @@ def test_dp_level_empty_adjacency_zero():
 
 
 def _loop_dp_level(channel, adj):
-    """Pair-by-pair form of dp_level, kept as an oracle."""
+    """Pair-by-pair form of dp_level, kept as an oracle.
+
+    One division C(x,y)/C(x',y) per ordered adjacent pair, no reciprocal:
+    the rule the solver's ratio terms use, so levels compare with ``==``.
+    """
     m = channel.matrix
     zero = m <= ZERO_TOL
     best = 1.0
     for i, j in adj.ordered_pairs(channel.inputs):
-        if i > j:
-            continue
         if np.any(zero[i] != zero[j]):
             return INFINITE
         live = ~zero[i]
-        if not live.any():
-            continue
-        ratios = m[i, live] / m[j, live]
-        best = max(best, float(ratios.max()), float((1.0 / ratios).max()))
+        if live.any():
+            best = max(best, float((m[i, live] / m[j, live]).max()))
     return math.log(best)
 
 
-@given(st.integers(0, 2**32 - 1), st.booleans())
+@given(st.integers(0, 2**32 - 1), st.sampled_from([False, True, "after"]))
 @settings(max_examples=50, deadline=None)
 def test_dp_level_matches_pairwise_loop(seed, dust):
     channel, adj = sparse_channel(seed, dust)
